@@ -32,12 +32,13 @@ std::vector<ir::TableEntry> exact_entries(int n) {
 
 void BM_ExactEngineLookup(benchmark::State& state) {
     ir::Table t = ir::TableSpec("t").key("f").noop_action("a").build();
-    auto engine = sim::make_engine(t);
-    auto entries = exact_entries(static_cast<int>(state.range(0)));
-    engine->rebuild(t, entries);
+    const sim::EntryList list =
+        sim::EntryList::ordered(exact_entries(static_cast<int>(state.range(0))));
+    sim::MatchEngine engine(t);
+    engine.rebuild(list);
     std::uint64_t key = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine->lookup({key++ % entries.size()}));
+        benchmark::DoNotOptimize(engine.lookup({key++ % list.entries.size()}));
     }
 }
 BENCHMARK(BM_ExactEngineLookup)->Arg(64)->Arg(4096)->Arg(65536);
@@ -45,7 +46,6 @@ BENCHMARK(BM_ExactEngineLookup)->Arg(64)->Arg(4096)->Arg(65536);
 void BM_TernaryEngineLookup(benchmark::State& state) {
     ir::Table t =
         ir::TableSpec("t").key("f", ir::MatchKind::Ternary).noop_action("a").build();
-    auto engine = sim::make_engine(t);
     std::vector<ir::TableEntry> entries;
     for (int m = 0; m < state.range(0); ++m) {
         ir::TableEntry e;
@@ -54,10 +54,12 @@ void BM_TernaryEngineLookup(benchmark::State& state) {
         e.priority = m;
         entries.push_back(e);
     }
-    engine->rebuild(t, entries);
+    const sim::EntryList list = sim::EntryList::ordered(std::move(entries));
+    sim::MatchEngine engine(t);
+    engine.rebuild(list);
     std::uint64_t key = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine->lookup({key++}));
+        benchmark::DoNotOptimize(engine.lookup({key++}));
     }
 }
 BENCHMARK(BM_TernaryEngineLookup)->Arg(5)->Arg(16)->Arg(32);

@@ -350,8 +350,7 @@ DiagnosticList Verifier::check_entries(
 
 DiagnosticList Verifier::check_entry_remap(
     const ir::Program& original,
-    const std::unordered_map<std::string, std::vector<ir::TableEntry>>&
-        original_store,
+    const std::unordered_map<std::string, std::size_t>& original_counts,
     const ir::Program& deployed,
     const std::vector<ir::EntryLoad>& loads) const {
     DiagnosticList d;
@@ -389,9 +388,9 @@ DiagnosticList Verifier::check_entry_remap(
         }
         d.merge(check_entries(t, load.entries));
         if (t.role == TableRole::Original) {
-            auto s = original_store.find(t.name);
+            auto s = original_counts.find(t.name);
             const std::size_t expected =
-                s == original_store.end() ? 0 : s->second.size();
+                s == original_counts.end() ? 0 : s->second;
             if (load.entries.size() != expected) {
                 d.error("entry.remap.count", kNoNode,
                         util::format("direct table '%s' load carries %zu "
@@ -412,13 +411,13 @@ DiagnosticList Verifier::check_entry_remap(
                                  "it would deploy empty and miss every packet",
                                  name.c_str()));
         } else if (t->role == TableRole::Original) {
-            auto s = original_store.find(name);
-            if (s != original_store.end() && !s->second.empty()) {
+            auto s = original_counts.find(name);
+            if (s != original_counts.end() && s->second > 0) {
                 d.error("entry.remap.missing-load", kNoNode,
                         util::format("direct table '%s' receives no entry "
                                      "load; the original store holds %zu "
                                      "entries for it",
-                                     name.c_str(), s->second.size()));
+                                     name.c_str(), s->second));
             }
         }
     }
@@ -428,8 +427,8 @@ DiagnosticList Verifier::check_entry_remap(
     // of the same name or a loaded merged table whose origin set covers it.
     for (const ir::Node& n : original.nodes()) {
         if (!n.is_table()) continue;
-        auto s = original_store.find(n.table.name);
-        if (s == original_store.end() || s->second.empty()) continue;
+        auto s = original_counts.find(n.table.name);
+        if (s == original_counts.end() || s->second == 0) continue;
         bool implemented = loaded.count(n.table.name) != 0;
         if (!implemented) {
             for (const ir::EntryLoad& load : loads) {
@@ -449,7 +448,7 @@ DiagnosticList Verifier::check_entry_remap(
             d.error("entry.remap.dropped", kNoNode,
                     util::format("original table '%s' holds %zu entries but "
                                  "no load implements it in the new layout",
-                                 n.table.name.c_str(), s->second.size()));
+                                 n.table.name.c_str(), s->second));
         }
     }
     return d;

@@ -64,19 +64,19 @@ public:
                                  const std::vector<ir::TableEntry>& entries) const;
 
     /// Entry-set consistency of a remapped deployment (ISSUE 3): given the
-    /// original program, the authoritative original-space entry store, the
-    /// program about to be deployed, and the entry loads the control plane
-    /// computed for it, verify that the loads address real deployed tables
-    /// with legal roles, that no table is loaded twice, that direct tables
-    /// carry exactly the original store's entries, that every merged table
+    /// original program, the live entry count of each table in the
+    /// authoritative original-space store, the program about to be
+    /// deployed, and the entry loads the control plane computed for it,
+    /// verify that the loads address real deployed tables with legal roles,
+    /// that no table is loaded twice, that direct tables carry exactly the
+    /// original store's entry count, that every merged table
     /// receives its rebuilt cross product, and that no original table's
     /// entries are silently discarded by the new layout. Each load's entries
     /// also pass check_entries against the deployed table definition.
     /// Rules: entry.remap.* (plus entry.* from the per-load pass).
     DiagnosticList check_entry_remap(
         const ir::Program& original,
-        const std::unordered_map<std::string, std::vector<ir::TableEntry>>&
-            original_store,
+        const std::unordered_map<std::string, std::size_t>& original_counts,
         const ir::Program& deployed,
         const std::vector<ir::EntryLoad>& loads) const;
 

@@ -1,5 +1,6 @@
 #include "ir/entry.h"
 
+#include <algorithm>
 #include <set>
 
 namespace pipeleon::ir {
@@ -188,6 +189,52 @@ int distinct_masks(const std::vector<TableEntry>& entries) {
         if (any) masks.insert(std::move(combo));
     }
     return static_cast<int>(masks.size());
+}
+
+namespace {
+
+/// The entry's mask combination (all-ones for non-ternary components), or
+/// empty when it has no ternary component — distinct_masks' rule.
+std::vector<std::uint64_t> mask_combo(const TableEntry& entry) {
+    std::vector<std::uint64_t> combo;
+    if (std::none_of(entry.key.begin(), entry.key.end(), [](const FieldMatch& m) {
+            return m.kind == MatchKind::Ternary;
+        })) {
+        return combo;  // exact/LPM entries: no allocation
+    }
+    for (const FieldMatch& m : entry.key) {
+        combo.push_back(m.kind == MatchKind::Ternary ? m.mask : ~0ULL);
+    }
+    return combo;
+}
+
+template <class Map, class Key>
+void release(Map& counts, const Key& key) {
+    auto it = counts.find(key);
+    if (--it->second == 0) counts.erase(it);
+}
+
+}  // namespace
+
+void EntryDiversity::add(const TableEntry& entry) {
+    for (const FieldMatch& m : entry.key) {
+        if (m.kind == MatchKind::Lpm) ++lens_[m.prefix_len];
+    }
+    std::vector<std::uint64_t> combo = mask_combo(entry);
+    if (!combo.empty()) ++masks_[std::move(combo)];
+}
+
+void EntryDiversity::remove(const TableEntry& entry) {
+    for (const FieldMatch& m : entry.key) {
+        if (m.kind == MatchKind::Lpm) release(lens_, m.prefix_len);
+    }
+    const std::vector<std::uint64_t> combo = mask_combo(entry);
+    if (!combo.empty()) release(masks_, combo);
+}
+
+void EntryDiversity::clear() {
+    lens_.clear();
+    masks_.clear();
 }
 
 }  // namespace pipeleon::ir

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -82,11 +83,30 @@ struct EntryLoad {
 
 /// Counts the distinct LPM prefix lengths across entries — the paper's m
 /// multiplier for LPM tables ("implemented using multiple hash tables",
-/// one per prefix length).
+/// one per prefix length). A full scan: the reference EntryDiversity is
+/// tested against.
 int distinct_prefix_lengths(const std::vector<TableEntry>& entries);
 
 /// Counts the distinct ternary mask combinations across entries — the m
-/// multiplier for ternary tables.
+/// multiplier for ternary tables. A full scan, like the above.
 int distinct_masks(const std::vector<TableEntry>& entries);
+
+/// distinct_prefix_lengths / distinct_masks kept up to date one entry at a
+/// time: a refcount per prefix length and per mask combination, so an
+/// insert or erase costs O(log #distinct values) instead of a rescan.
+class EntryDiversity {
+public:
+    void add(const TableEntry& entry);
+    /// `entry` must have been added.
+    void remove(const TableEntry& entry);
+    void clear();
+
+    int prefix_lengths() const { return static_cast<int>(lens_.size()); }
+    int masks() const { return static_cast<int>(masks_.size()); }
+
+private:
+    std::map<int, std::uint32_t> lens_;
+    std::map<std::vector<std::uint64_t>, std::uint32_t> masks_;
+};
 
 }  // namespace pipeleon::ir

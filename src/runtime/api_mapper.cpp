@@ -1,7 +1,6 @@
 #include "runtime/api_mapper.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "opt/merge.h"
 #include "util/logging.h"
@@ -9,154 +8,96 @@
 namespace pipeleon::runtime {
 
 using ir::Node;
-using ir::NodeId;
 using ir::TableEntry;
 using ir::TableRole;
 
-ApiMapper::ApiMapper(const ir::Program& original) : original_(original) {
-    for (const Node& n : original_.nodes()) {
-        if (n.is_table()) {
-            tables_.emplace(n.table.name, n.table);
-            store_.emplace(n.table.name, std::vector<TableEntry>{});
-            window_updates_.emplace(n.table.name, 0);
-        }
+ApiMapper::ApiMapper(const ir::Program& original) {
+    for (const Node& n : original.nodes()) {
+        if (n.is_table()) store_.try_emplace(n.table.name, n.table);
     }
 }
 
 bool ApiMapper::insert(sim::Emulator& emulator, const std::string& table,
                        const TableEntry& entry) {
-    auto it = tables_.find(table);
-    if (it == tables_.end() || !entry.compatible_with(it->second)) return false;
-    store_[table].push_back(entry);
-    ++window_updates_[table];
-    propagate(emulator, table);
+    auto it = store_.find(table);
+    if (it == store_.end() || !entry.compatible_with(it->second.table())) return false;
+    it->second.append(entry);
+    sim::StoreChange change;
+    change.kind = sim::StoreChange::Kind::Insert;
+    change.table = table;
+    change.entry = entry;
+    mirror(emulator, std::move(change));
     return true;
 }
 
 bool ApiMapper::erase(sim::Emulator& emulator, const std::string& table,
                       const std::vector<ir::FieldMatch>& key) {
     auto it = store_.find(table);
-    if (it == store_.end()) return false;
-    auto& entries = it->second;
-    auto pos = std::find_if(entries.begin(), entries.end(),
-                            [&key](const TableEntry& e) { return e.key == key; });
-    if (pos == entries.end()) return false;
-    entries.erase(pos);
-    ++window_updates_[table];
-    propagate(emulator, table);
+    if (it == store_.end() || !it->second.erase(key)) return false;
+    sim::StoreChange change;
+    change.kind = sim::StoreChange::Kind::Erase;
+    change.table = table;
+    change.key = key;
+    mirror(emulator, std::move(change));
     return true;
 }
 
 bool ApiMapper::modify(sim::Emulator& emulator, const std::string& table,
                        const TableEntry& entry) {
     auto it = store_.find(table);
-    if (it == store_.end()) return false;
-    for (TableEntry& e : it->second) {
-        if (e.key == entry.key) {
-            e = entry;
-            ++window_updates_[table];
-            propagate(emulator, table);
-            return true;
-        }
-    }
-    return false;
+    if (it == store_.end() || !it->second.modify(entry)) return false;
+    sim::StoreChange change;
+    change.kind = sim::StoreChange::Kind::Modify;
+    change.table = table;
+    change.entry = entry;
+    mirror(emulator, std::move(change));
+    return true;
 }
 
 const std::vector<TableEntry>& ApiMapper::entries(const std::string& table) const {
     static const std::vector<TableEntry> kEmpty;
     auto it = store_.find(table);
-    return it == store_.end() ? kEmpty : it->second;
+    return it == store_.end() ? kEmpty : it->second.entries();
 }
 
-namespace {
-
-/// Computes a merged table's cross-product entries from the original store
-/// (no emulator involved). nullopt when a source is unknown or the rebuild
-/// exceeds opt::build_merged_entries limits.
-std::optional<std::vector<TableEntry>> compute_merged(
-    const ir::Table& merged,
-    const std::unordered_map<std::string, ir::Table>& tables,
-    const std::unordered_map<std::string, std::vector<TableEntry>>& store) {
+std::optional<std::vector<TableEntry>> ApiMapper::merged_entries(
+    const ir::Table& merged) const {
     std::vector<const ir::Table*> sources;
     std::vector<std::vector<TableEntry>> source_entries;
     for (const std::string& origin : merged.origin_tables) {
-        auto t = tables.find(origin);
-        auto e = store.find(origin);
-        if (t == tables.end() || e == store.end()) return std::nullopt;
-        sources.push_back(&t->second);
-        source_entries.push_back(e->second);
+        auto it = store_.find(origin);
+        if (it == store_.end()) return std::nullopt;
+        sources.push_back(&it->second.table());
+        source_entries.push_back(it->second.entries_in_order());
     }
     bool as_cache = merged.role == TableRole::MergedCache;
     return opt::build_merged_entries(sources, source_entries, merged, as_cache);
 }
 
-/// Rebuilds a merged table's entries from the original store.
-bool rebuild_merged(
-    sim::Emulator& emulator, const ir::Table& merged,
-    const std::unordered_map<std::string, ir::Table>& tables,
-    const std::unordered_map<std::string, std::vector<TableEntry>>& store) {
-    auto entries = compute_merged(merged, tables, store);
-    if (!entries.has_value()) {
-        util::log_warn("ApiMapper: merged entry rebuild for '" + merged.name +
-                       "' exceeded limits; table left unchanged");
-        return false;
-    }
-    return emulator.set_entries(merged.name, std::move(*entries));
-}
-
-}  // namespace
-
-void ApiMapper::propagate(sim::Emulator& emulator, const std::string& table) {
-    const ir::Program& deployed = emulator.program();
-    for (const Node& n : deployed.nodes()) {
-        if (!n.is_table()) continue;
-        const ir::Table& t = n.table;
-        switch (t.role) {
-            case TableRole::Original:
-                if (t.name == table) {
-                    emulator.set_entries(t.name, store_[table]);
-                }
-                break;
-            case TableRole::Merged:
-            case TableRole::MergedCache: {
-                const auto& origins = t.origin_tables;
-                if (std::find(origins.begin(), origins.end(), table) !=
-                    origins.end()) {
-                    rebuild_merged(emulator, t, tables_, store_);
-                }
-                break;
-            }
-            case TableRole::Cache:
-            case TableRole::Navigation:
-            case TableRole::Migration:
-                break;
+void ApiMapper::mirror(sim::Emulator& emulator, sim::StoreChange change) const {
+    for (const Node& n : emulator.program().nodes()) {
+        if (!n.is_table() || (n.table.role != TableRole::Merged &&
+                              n.table.role != TableRole::MergedCache)) {
+            continue;
+        }
+        const auto& origins = n.table.origin_tables;
+        if (std::find(origins.begin(), origins.end(), change.table) == origins.end()) {
+            continue;
+        }
+        auto entries = merged_entries(n.table);
+        if (entries.has_value()) {
+            change.merged.push_back(ir::EntryLoad{n.table.name, std::move(*entries)});
+        } else {
+            util::log_warn("ApiMapper: merged entry rebuild for '" + n.table.name +
+                           "' exceeded limits; table left unchanged");
         }
     }
-    emulator.invalidate_caches_covering(table);
+    emulator.mirror(std::move(change));
 }
 
 void ApiMapper::deploy_entries(sim::Emulator& emulator) const {
-    const ir::Program& deployed = emulator.program();
-    for (const Node& n : deployed.nodes()) {
-        if (!n.is_table()) continue;
-        const ir::Table& t = n.table;
-        switch (t.role) {
-            case TableRole::Original: {
-                auto it = store_.find(t.name);
-                if (it != store_.end()) {
-                    emulator.set_entries(t.name, it->second);
-                }
-                break;
-            }
-            case TableRole::Merged:
-            case TableRole::MergedCache:
-                rebuild_merged(emulator, t, tables_, store_);
-                break;
-            case TableRole::Cache:
-            case TableRole::Navigation:
-            case TableRole::Migration:
-                break;
-        }
+    for (ir::EntryLoad& load : remapped_entries(emulator.program())) {
+        emulator.set_entries(load.table, std::move(load.entries));
     }
 }
 
@@ -170,13 +111,13 @@ std::vector<ir::EntryLoad> ApiMapper::remapped_entries(
             case TableRole::Original: {
                 auto it = store_.find(t.name);
                 if (it != store_.end()) {
-                    loads.push_back(ir::EntryLoad{t.name, it->second});
+                    loads.push_back(ir::EntryLoad{t.name, it->second.entries_in_order()});
                 }
                 break;
             }
             case TableRole::Merged:
             case TableRole::MergedCache: {
-                auto entries = compute_merged(t, tables_, store_);
+                auto entries = merged_entries(t);
                 if (entries.has_value()) {
                     loads.push_back(ir::EntryLoad{t.name, std::move(*entries)});
                 } else {
@@ -194,23 +135,28 @@ std::vector<ir::EntryLoad> ApiMapper::remapped_entries(
     return loads;
 }
 
+std::unordered_map<std::string, std::size_t> ApiMapper::entry_counts() const {
+    std::unordered_map<std::string, std::size_t> out;
+    for (const auto& [name, state] : store_) out.emplace(name, state.entries().size());
+    return out;
+}
+
 std::unordered_map<std::string, profile::EntrySnapshot> ApiMapper::snapshots()
     const {
     std::unordered_map<std::string, profile::EntrySnapshot> out;
-    for (const auto& [name, entries] : store_) {
+    for (const auto& [name, state] : store_) {
         profile::EntrySnapshot snap;
-        snap.entry_count = entries.size();
-        auto u = window_updates_.find(name);
-        snap.entry_updates = u == window_updates_.end() ? 0 : u->second;
-        snap.lpm_prefix_count = ir::distinct_prefix_lengths(entries);
-        snap.ternary_mask_count = ir::distinct_masks(entries);
+        snap.entry_count = state.entries().size();
+        snap.entry_updates = state.update_count();
+        snap.lpm_prefix_count = state.lpm_prefix_count();
+        snap.ternary_mask_count = state.ternary_mask_count();
         out.emplace(name, snap);
     }
     return out;
 }
 
 void ApiMapper::begin_window() {
-    for (auto& [name, count] : window_updates_) count = 0;
+    for (auto& [name, state] : store_) state.reset_update_count();
 }
 
 }  // namespace pipeleon::runtime

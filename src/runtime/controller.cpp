@@ -191,7 +191,7 @@ analysis::DiagnosticList Controller::verify_deploy(
         // Reverts re-deploy the original program: structure only.
         diags.merge(verifier.check_program(prepared.program));
     }
-    diags.merge(verifier.check_entry_remap(original_, api_.store(),
+    diags.merge(verifier.check_entry_remap(original_, api_.entry_counts(),
                                            prepared.program, prepared.entries));
     return diags;
 }

@@ -42,6 +42,20 @@ struct EpochSwap {
     bool incremental = false;
 };
 
+/// One change to an original table's entries, mirrored from the runtime's
+/// authoritative store (runtime::ApiMapper, §2.3) onto the deployed
+/// program in a single control op (Emulator::mirror).
+struct StoreChange {
+    enum class Kind : std::uint8_t { Insert, Erase, Modify };
+
+    Kind kind = Kind::Insert;
+    std::string table;                  ///< the original table
+    ir::TableEntry entry;               ///< Insert / Modify
+    std::vector<ir::FieldMatch> key;    ///< Erase
+    /// Rebuilt cross products of the merged tables implementing `table`.
+    std::vector<ir::EntryLoad> merged;
+};
+
 /// One queued control-plane operation. A tagged union kept as plain fields:
 /// ops are rare relative to packets, so clarity beats compactness here.
 struct ControlOp {
@@ -55,6 +69,7 @@ struct ControlOp {
         SetInstrumentation,
         SetWorkerCount,
         Swap,
+        Mirror,
     };
 
     Kind kind = Kind::BeginWindow;
@@ -66,6 +81,7 @@ struct ControlOp {
     int workers = 1;                      ///< SetWorkerCount
     /// Swap payload, boxed: programs are heavy and ops move through vectors.
     std::shared_ptr<EpochSwap> swap;
+    StoreChange change;                   ///< Mirror
 
     /// Sequence number assigned by ControlQueue::push — lets a caller that
     /// drains synchronously find its own op's result in the drained run.

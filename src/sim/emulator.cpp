@@ -446,6 +446,30 @@ int Emulator::invalidate_caches_unlocked(const std::string& origin_table) {
     return cleared;
 }
 
+void Emulator::mirror_unlocked(StoreChange& change) {
+    const NodeId id = program_.find_table(change.table);
+    if (id != kNoNode && tables_[static_cast<std::size_t>(id)] &&
+        program_.node(id).table.role == TableRole::Original) {
+        TableState& state = *tables_[static_cast<std::size_t>(id)];
+        switch (change.kind) {
+            case StoreChange::Kind::Insert: state.append(std::move(change.entry)); break;
+            case StoreChange::Kind::Erase: state.erase(change.key); break;
+            case StoreChange::Kind::Modify: state.modify(change.entry); break;
+        }
+    }
+    for (ir::EntryLoad& load : change.merged) {
+        set_entries_unlocked(load.table, std::move(load.entries));
+    }
+    invalidate_caches_unlocked(change.table);
+}
+
+void Emulator::mirror(StoreChange change) {
+    ControlOp op;
+    op.kind = ControlOp::Kind::Mirror;
+    op.change = std::move(change);
+    submit(std::move(op));
+}
+
 int Emulator::invalidate_caches_covering(const std::string& origin_table) {
     ControlOp op;
     op.kind = ControlOp::Kind::InvalidateCaches;
@@ -529,6 +553,9 @@ bool Emulator::apply_op_unlocked(ControlOp& op, int* count_out,
             if (swap_out != nullptr) *swap_out = stats;
             return true;
         }
+        case ControlOp::Kind::Mirror:
+            mirror_unlocked(op.change);
+            return true;
     }
     return true;
 }
@@ -1355,15 +1382,22 @@ double Emulator::throughput_gbps(double avg_cycles, double packet_bytes) const {
     return std::min(gbps, model_.line_rate_gbps);
 }
 
-double Emulator::reconfigure_unlocked(ir::Program new_program) {
+double Emulator::reconfigure_unlocked(ir::Program new_program,
+                                      std::vector<ir::EntryLoad> loads) {
     new_program.validate();
 
-    // Preserve entries of same-named tables with identical key structure.
+    // Preserve entries of same-named tables with identical key structure,
+    // in insertion order (it decides their tie-breaks). Tables the loads
+    // replace are skipped: each table is rebuilt once per swap.
+    auto loaded = [&loads](const std::string& name) {
+        return std::any_of(loads.begin(), loads.end(),
+                           [&name](const ir::EntryLoad& l) { return l.table == name; });
+    };
     std::vector<std::pair<std::string, std::vector<ir::TableEntry>>> saved;
     for (const Node& node : program_.nodes()) {
         auto i = static_cast<std::size_t>(node.id);
-        if (node.is_table() && tables_[i]) {
-            saved.emplace_back(node.table.name, tables_[i]->entries());
+        if (node.is_table() && tables_[i] && !loaded(node.table.name)) {
+            saved.emplace_back(node.table.name, tables_[i]->entries_in_order());
         }
     }
 
@@ -1375,10 +1409,18 @@ double Emulator::reconfigure_unlocked(ir::Program new_program) {
         NodeId id = program_.find_table(name);
         if (id == kNoNode || !tables_[static_cast<std::size_t>(id)]) continue;
         std::vector<ir::TableEntry> keep;
-        for (const ir::TableEntry& e : entries) {
-            if (e.compatible_with(program_.node(id).table)) keep.push_back(e);
+        for (ir::TableEntry& e : entries) {
+            if (e.compatible_with(program_.node(id).table)) keep.push_back(std::move(e));
         }
         tables_[static_cast<std::size_t>(id)]->set_entries(std::move(keep));
+        tables_[static_cast<std::size_t>(id)]->reset_update_count();
+    }
+    // The remapped entry sets install in the same transition; they are
+    // deployment state, not window churn, so update counts stay zero.
+    for (ir::EntryLoad& load : loads) {
+        NodeId id = program_.find_table(load.table);
+        if (id == kNoNode || !tables_[static_cast<std::size_t>(id)]) continue;
+        tables_[static_cast<std::size_t>(id)]->set_entries(std::move(load.entries));
         tables_[static_cast<std::size_t>(id)]->reset_update_count();
     }
 
@@ -1428,24 +1470,15 @@ Emulator::ReconfigureStats Emulator::apply_epoch_unlocked(EpochSwap swap) {
     TELEMETRY_SPAN("emulator.epoch_swap");
     ReconfigureStats stats;
     if (swap.incremental) {
-        stats = reconfigure_incremental_unlocked(std::move(swap.program));
+        stats = reconfigure_incremental_unlocked(std::move(swap.program),
+                                                 std::move(swap.entries));
     } else {
         for (const Node& node : swap.program.nodes()) {
             if (node.is_table()) ++stats.tables_total;
         }
         stats.tables_changed = stats.tables_total;  // full redeploy
-        stats.downtime_s = reconfigure_unlocked(std::move(swap.program));
-    }
-    // Install the remapped entry sets as part of the same transition; these
-    // are deployment state, not window churn, so update counts stay zero.
-    for (ir::EntryLoad& load : swap.entries) {
-        const std::string table = load.table;
-        if (set_entries_unlocked(table, std::move(load.entries))) {
-            NodeId id = program_.find_table(table);
-            if (id != kNoNode && tables_[static_cast<std::size_t>(id)]) {
-                tables_[static_cast<std::size_t>(id)]->reset_update_count();
-            }
-        }
+        stats.downtime_s = reconfigure_unlocked(std::move(swap.program),
+                                                std::move(swap.entries));
     }
     epoch_.fetch_add(1, std::memory_order_release);
     if constexpr (telemetry::kEnabled) metrics_.add(mid_.epochs);
@@ -1453,7 +1486,7 @@ Emulator::ReconfigureStats Emulator::apply_epoch_unlocked(EpochSwap swap) {
 }
 
 Emulator::ReconfigureStats Emulator::reconfigure_incremental_unlocked(
-    ir::Program new_program) {
+    ir::Program new_program, std::vector<ir::EntryLoad> loads) {
     new_program.validate();
     ReconfigureStats stats;
 
@@ -1520,7 +1553,7 @@ Emulator::ReconfigureStats Emulator::reconfigure_incremental_unlocked(
                       1, stats.tables_total));
     // Full reconfigure (which would drop warm caches), then splice the
     // saved stores back where definitions match.
-    reconfigure_unlocked(std::move(new_program));
+    reconfigure_unlocked(std::move(new_program), std::move(loads));
     clock_seconds_ -= full_downtime;  // replace with the incremental cost
     stats.downtime_s = full_downtime * std::min(1.0, changed_fraction);
     clock_seconds_ += stats.downtime_s;

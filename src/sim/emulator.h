@@ -100,7 +100,18 @@ public:
     /// Bulk-replaces entries (deployment of merged tables).
     bool set_entries(const std::string& table,
                      std::vector<ir::TableEntry> entries);
+    /// Mirrors one change of the runtime's original-space entry store
+    /// (runtime::ApiMapper, §2.3) as ONE control op, so no batch runs
+    /// between its parts: the deployed Original-role table named
+    /// `change.table` takes the change in place — unchecked against its
+    /// declared size, like set_entries, because the store is authoritative
+    /// — each load in `change.merged` replaces that merged table's entries,
+    /// and every flow cache covering the original table is cleared.
+    void mirror(StoreChange change);
     std::size_t entry_count(const std::string& table) const;
+    /// A deployed table's live entries (TableState::entries: not in
+    /// insertion order once an entry was erased); nullptr for caches and
+    /// unknown names.
     const std::vector<ir::TableEntry>* entries(const std::string& table) const;
 
     /// Number of live entries in the cache table's store (summed over all
@@ -427,8 +438,12 @@ private:
 
     ProcessResult process_unlocked(Packet& packet);
     void begin_window_unlocked();
-    double reconfigure_unlocked(ir::Program new_program);
-    ReconfigureStats reconfigure_incremental_unlocked(ir::Program new_program);
+    /// Deploys `new_program` and installs `loads`. Same-named tables the
+    /// loads do not cover keep their compatible entries, in insertion order.
+    double reconfigure_unlocked(ir::Program new_program,
+                                std::vector<ir::EntryLoad> loads);
+    ReconfigureStats reconfigure_incremental_unlocked(
+        ir::Program new_program, std::vector<ir::EntryLoad> loads);
     ReconfigureStats apply_epoch_unlocked(EpochSwap swap);
 
     bool insert_entry_unlocked(const std::string& table,
@@ -440,6 +455,7 @@ private:
     bool set_entries_unlocked(const std::string& table,
                               std::vector<ir::TableEntry> entries);
     int invalidate_caches_unlocked(const std::string& origin_table);
+    void mirror_unlocked(StoreChange& change);
     void set_worker_count_unlocked(int workers);
 
     /// Enqueues the op, then opportunistically drains: when control_mu_ is

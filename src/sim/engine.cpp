@@ -1,28 +1,26 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <tuple>
 
 namespace pipeleon::sim {
 
 using ir::FieldMatch;
 using ir::MatchKind;
-using ir::Table;
 using ir::TableEntry;
 
-std::size_t KeyVecHash::operator()(const KeyVec& key) const {
-    std::size_t h = 1469598103934665603ULL;  // FNV offset basis
-    for (std::uint64_t word : key) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (word >> (8 * b)) & 0xFF;
-            h *= 1099511628211ULL;  // FNV prime
-        }
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+        h ^= (word >> (8 * b)) & 0xFF;
+        h *= kFnvPrime;
     }
     return h;
 }
-
-namespace {
 
 std::uint64_t width_mask(int width_bits) {
     if (width_bits >= 64) return ~0ULL;
@@ -36,220 +34,313 @@ std::uint64_t prefix_mask(int prefix_len, int width_bits) {
     return width_mask(width_bits) & ~width_mask(width_bits - prefix_len);
 }
 
-// ------------------------------------------------------------ exact engine
+}  // namespace
 
-class ExactEngine final : public MatchEngine {
-public:
-    void rebuild(const Table& /*table*/,
-                 const std::vector<TableEntry>& entries) override {
-        map_.clear();
-        map_.reserve(entries.size());
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            KeyVec key;
-            key.reserve(entries[i].key.size());
-            for (const FieldMatch& m : entries[i].key) key.push_back(m.value);
-            map_.emplace(std::move(key), i);  // first entry wins on duplicates
-        }
-    }
+std::size_t KeyVecHash::operator()(const KeyVec& key) const {
+    std::uint64_t h = kFnvBasis;
+    for (std::uint64_t word : key) h = fnv_word(h, word);
+    return h;
+}
 
-    std::optional<MatchOutcome> lookup(const KeyVec& key) const override {
-        auto it = map_.find(key);
-        if (it == map_.end()) return std::nullopt;
-        return MatchOutcome{it->second};
-    }
+EntryList EntryList::ordered(std::vector<TableEntry> entries) {
+    EntryList list;
+    list.stamps.resize(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) list.stamps[i] = i;
+    list.entries = std::move(entries);
+    return list;
+}
 
-    int m() const override { return 1; }
+MatchEngine::MatchEngine(const ir::Table& table)
+    : kind_(table.effective_match_kind()) {
+    // Range tables share the ternary engine: ranges are not mask-encodable
+    // and fall into its linear group.
+    if (kind_ == MatchKind::Range) kind_ = MatchKind::Ternary;
+    for (const ir::MatchKey& k : table.keys) widths_.push_back(k.width_bits);
+}
 
-private:
-    std::unordered_map<KeyVec, std::size_t, KeyVecHash> map_;
-};
+// ------------------------------------------------------------ structure
 
-// -------------------------------------------------------------- LPM engine
-
-/// One hash table per distinct prefix-length tuple, probed in decreasing
-/// total-prefix order so the first hit is the longest match.
-class LpmEngine final : public MatchEngine {
-public:
-    void rebuild(const Table& table,
-                 const std::vector<TableEntry>& entries) override {
-        groups_.clear();
-        widths_.clear();
-        for (const ir::MatchKey& k : table.keys) widths_.push_back(k.width_bits);
-
-        // Group entries by their prefix-length tuple (exact components use
-        // the full width as their "prefix").
-        std::map<std::vector<int>, Group, std::greater<>> by_lens;
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            std::vector<int> lens;
-            KeyVec masked;
-            bool ok = true;
-            for (std::size_t c = 0; c < entries[i].key.size(); ++c) {
-                const FieldMatch& m = entries[i].key[c];
-                int width = widths_[c];
-                int len;
-                switch (m.kind) {
-                    case MatchKind::Exact: len = width; break;
-                    case MatchKind::Lpm: len = m.prefix_len; break;
-                    default: ok = false; len = 0; break;
-                }
-                if (!ok) break;
-                lens.push_back(len);
-                masked.push_back(m.value & prefix_mask(len, width));
+int MatchEngine::group_of(const std::vector<FieldMatch>& key) const {
+    if (key.size() != widths_.size()) return kUnindexed;
+    shape_masks_.resize(key.size());
+    shape_lens_.resize(key.size());
+    for (std::size_t c = 0; c < key.size(); ++c) {
+        const FieldMatch& m = key[c];
+        const int width = widths_[c];
+        std::uint64_t& mask = shape_masks_[c];
+        if (kind_ == MatchKind::Exact) {
+            mask = ~0ULL;  // exact tables compare raw values
+        } else if (kind_ == MatchKind::Lpm) {
+            // Exact components use the full width as their "prefix";
+            // other kinds are ignored by this engine.
+            if (m.kind == MatchKind::Exact) {
+                shape_lens_[c] = width;
+            } else if (m.kind == MatchKind::Lpm) {
+                shape_lens_[c] = m.prefix_len;
+            } else {
+                return kUnindexed;
             }
-            if (!ok) continue;  // non-LPM entries are ignored by this engine
-            Group& g = by_lens[lens];
-            g.lens = lens;
-            g.map.emplace(std::move(masked), i);
-        }
-        // Longest total prefix first.
-        std::vector<std::pair<int, std::vector<int>>> order;
-        for (auto& [lens, g] : by_lens) {
-            int total = 0;
-            for (int l : lens) total += l;
-            order.emplace_back(total, lens);
-        }
-        std::sort(order.begin(), order.end(), std::greater<>());
-        for (auto& [total, lens] : order) {
-            (void)total;
-            groups_.push_back(std::move(by_lens[lens]));
+            mask = prefix_mask(shape_lens_[c], width);
+        } else {
+            switch (m.kind) {
+                case MatchKind::Exact: mask = width_mask(width); break;
+                case MatchKind::Lpm: mask = prefix_mask(m.prefix_len, width); break;
+                case MatchKind::Ternary: mask = m.mask; break;
+                case MatchKind::Range: return kLinear;
+            }
         }
     }
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const bool same = kind_ == MatchKind::Lpm ? groups_[g].lens == shape_lens_
+                                                  : groups_[g].masks == shape_masks_;
+        if (same) return static_cast<int>(g);
+    }
+    return kAbsent;
+}
 
-    std::optional<MatchOutcome> lookup(const KeyVec& key) const override {
+int MatchEngine::add_group() {
+    Group g;
+    g.masks = shape_masks_;
+    if (kind_ != MatchKind::Lpm) {
+        groups_.push_back(std::move(g));
+        return static_cast<int>(groups_.size() - 1);
+    }
+    g.lens = shape_lens_;
+    for (int l : g.lens) g.total += l;
+    // Probe order: longest total prefix first, equal totals by prefix-length
+    // tuple, descending — so the first hit is the longest match.
+    auto pos = std::find_if(groups_.begin(), groups_.end(), [&g](const Group& o) {
+        return std::tie(o.total, o.lens) < std::tie(g.total, g.lens);
+    });
+    const auto at = groups_.insert(pos, std::move(g));
+    return static_cast<int>(at - groups_.begin());
+}
+
+template <class ValueAt>
+std::uint32_t MatchEngine::masked_hash(const Group& g, ValueAt value_at) const {
+    std::uint64_t h = kFnvBasis;
+    for (std::size_t c = 0; c < g.masks.size(); ++c) {
+        h = fnv_word(h, value_at(c) & g.masks[c]);
+    }
+    return static_cast<std::uint32_t>(h);
+}
+
+template <class ValueAt>
+std::size_t MatchEngine::probe(const Group& g, std::uint32_t h,
+                               ValueAt value_at) const {
+    const std::size_t mask = g.cells.size() - 1;
+    for (std::size_t p = h & mask;; p = (p + 1) & mask) {
+        const Cell& cell = g.cells[p];
+        if (cell.head == kNil) return p;
+        if (cell.hash != h) continue;
+        const std::vector<FieldMatch>& k = list_->entries[cell.head].key;
+        bool same = true;
+        for (std::size_t c = 0; c < g.masks.size() && same; ++c) {
+            same = ((k[c].value ^ value_at(c)) & g.masks[c]) == 0;
+        }
+        if (same) return p;
+    }
+}
+
+std::size_t MatchEngine::cell_of(const Group& g, std::size_t i) const {
+    const std::vector<FieldMatch>& key = list_->entries[i].key;
+    auto value_at = [&key](std::size_t c) { return key[c].value; };
+    return probe(g, masked_hash(g, value_at), value_at);
+}
+
+bool MatchEngine::before(std::size_t a, std::size_t b) const {
+    if (kind_ == MatchKind::Ternary) {
+        const int pa = list_->entries[a].priority;
+        const int pb = list_->entries[b].priority;
+        if (pa != pb) return pa > pb;
+    }
+    return list_->stamps[a] < list_->stamps[b];
+}
+
+void MatchEngine::grow(Group& g) {
+    std::vector<Cell> old = std::move(g.cells);
+    g.cells.assign(old.empty() ? 16 : old.size() * 2, Cell{});
+    const std::size_t mask = g.cells.size() - 1;
+    for (const Cell& c : old) {
+        if (c.head == kNil) continue;
+        std::size_t p = c.hash & mask;
+        while (g.cells[p].head != kNil) p = (p + 1) & mask;
+        g.cells[p] = c;
+    }
+}
+
+void MatchEngine::erase_cell(Group& g, std::size_t pos) {
+    // Slide back every later cluster member whose home precedes the hole
+    // (see CacheStore::index_erase).
+    const std::size_t mask = g.cells.size() - 1;
+    std::size_t hole = pos;
+    for (std::size_t i = (pos + 1) & mask; g.cells[i].head != kNil;
+         i = (i + 1) & mask) {
+        const std::size_t home = g.cells[i].hash & mask;
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+            g.cells[hole] = g.cells[i];
+            hole = i;
+        }
+    }
+    g.cells[hole] = Cell{};
+    --g.keys;
+}
+
+// ------------------------------------------------------------ mutations
+
+void MatchEngine::rebuild(const EntryList& list) {
+    list_ = &list;
+    groups_.clear();
+    linear_.clear();
+    next_.assign(list.entries.size(), kNil);
+    for (std::size_t i = 0; i < list.entries.size(); ++i) link(i);
+}
+
+void MatchEngine::link(std::size_t i) {
+    if (next_.size() <= i) next_.resize(i + 1, kNil);
+    next_[i] = kNil;
+    int g = group_of(list_->entries[i].key);
+    if (g == kUnindexed) return;
+    if (g == kLinear) {
+        linear_.push_back(static_cast<std::uint32_t>(i));
+        return;
+    }
+    if (g == kAbsent) g = add_group();
+    Group& grp = groups_[static_cast<std::size_t>(g)];
+    // Keep linear-probe clusters short: grow at ~70% occupancy.
+    if ((grp.keys + 1) * 10 > grp.cells.size() * 7) grow(grp);
+    ++grp.size;
+    const std::vector<FieldMatch>& key = list_->entries[i].key;
+    auto value_at = [&key](std::size_t c) { return key[c].value; };
+    const std::uint32_t h = masked_hash(grp, value_at);
+    Cell& cell = grp.cells[probe(grp, h, value_at)];
+    const auto pos = static_cast<std::uint32_t>(i);
+    if (cell.head == kNil) {
+        cell = Cell{h, pos};
+        ++grp.keys;
+    } else if (before(i, cell.head)) {
+        next_[i] = cell.head;
+        cell.head = pos;
+    } else {
+        // Duplicate masked key (the slow path): walk to i's place in line.
+        std::uint32_t p = cell.head;
+        while (next_[p] != kNil && !before(i, next_[p])) p = next_[p];
+        next_[i] = next_[p];
+        next_[p] = pos;
+    }
+}
+
+void MatchEngine::unlink(std::size_t i) {
+    const int g = group_of(list_->entries[i].key);
+    if (g == kUnindexed || g == kAbsent) return;
+    if (g == kLinear) {
+        auto it = std::find(linear_.begin(), linear_.end(), i);
+        *it = linear_.back();
+        linear_.pop_back();
+        return;
+    }
+    Group& grp = groups_[static_cast<std::size_t>(g)];
+    const std::size_t pos = cell_of(grp, i);
+    Cell& cell = grp.cells[pos];
+    if (cell.head == i) {
+        if (next_[i] == kNil) {
+            erase_cell(grp, pos);
+        } else {
+            cell.head = next_[i];
+        }
+    } else {
+        std::uint32_t p = cell.head;
+        while (next_[p] != i) p = next_[p];
+        next_[p] = next_[i];
+    }
+    next_[i] = kNil;
+    if (--grp.size == 0) groups_.erase(groups_.begin() + g);
+}
+
+void MatchEngine::move(std::size_t from, std::size_t to) {
+    const auto dst = static_cast<std::uint32_t>(to);
+    const int g = group_of(list_->entries[from].key);
+    if (g == kLinear) {
+        *std::find(linear_.begin(), linear_.end(), from) = dst;
+    } else if (g >= 0) {
+        Group& grp = groups_[static_cast<std::size_t>(g)];
+        Cell& cell = grp.cells[cell_of(grp, from)];
+        if (cell.head == from) {
+            cell.head = dst;
+        } else {
+            std::uint32_t p = cell.head;
+            while (next_[p] != from) p = next_[p];
+            next_[p] = dst;
+        }
+    }
+    next_[to] = next_[from];
+    next_[from] = kNil;
+}
+
+// --------------------------------------------------------------- queries
+
+std::optional<std::size_t> MatchEngine::find(
+    const std::vector<FieldMatch>& key) const {
+    const std::vector<TableEntry>& entries = list_->entries;
+    std::optional<std::size_t> oldest;
+    auto consider = [&](std::size_t j) {
+        if (entries[j].key == key &&
+            (!oldest.has_value() || list_->stamps[j] < list_->stamps[*oldest])) {
+            oldest = j;
+        }
+    };
+    const int g = group_of(key);
+    if (g == kAbsent) return std::nullopt;
+    if (g == kUnindexed) {
+        for (std::size_t j = 0; j < entries.size(); ++j) consider(j);
+    } else if (g == kLinear) {
+        for (std::uint32_t j : linear_) consider(j);
+    } else {
+        const Group& grp = groups_[static_cast<std::size_t>(g)];
+        auto value_at = [&key](std::size_t c) { return key[c].value; };
+        const std::uint32_t head =
+            grp.cells[probe(grp, masked_hash(grp, value_at), value_at)].head;
+        for (std::uint32_t j = head; j != kNil; j = next_[j]) consider(j);
+    }
+    return oldest;
+}
+
+std::optional<MatchOutcome> MatchEngine::lookup(const KeyVec& key) const {
+    if (key.size() != widths_.size()) return std::nullopt;
+    auto value_at = [&key](std::size_t c) { return key[c]; };
+    auto head_in = [&](const Group& g) {
+        return g.cells[probe(g, masked_hash(g, value_at), value_at)].head;
+    };
+    if (kind_ != MatchKind::Ternary) {
+        // Exact tables have one group; LPM groups are in probe order, so the
+        // first hit is the longest match (and its chain head the oldest).
         for (const Group& g : groups_) {
-            KeyVec masked;
-            masked.reserve(key.size());
-            for (std::size_t c = 0; c < key.size(); ++c) {
-                masked.push_back(key[c] & prefix_mask(g.lens[c], widths_[c]));
-            }
-            auto it = g.map.find(masked);
-            if (it != g.map.end()) return MatchOutcome{it->second};
+            const std::uint32_t head = head_in(g);
+            if (head != kNil) return MatchOutcome{head};
         }
         return std::nullopt;
     }
-
-    int m() const override {
-        return std::max(1, static_cast<int>(groups_.size()));
+    // Ternary: every group is probed; the best chain head wins.
+    std::uint32_t best = kNil;
+    for (const Group& g : groups_) {
+        const std::uint32_t head = head_in(g);
+        if (head != kNil && (best == kNil || before(head, best))) best = head;
     }
-
-private:
-    struct Group {
-        std::vector<int> lens;
-        std::unordered_map<KeyVec, std::size_t, KeyVecHash> map;
-    };
-    std::vector<Group> groups_;
-    std::vector<int> widths_;
-};
-
-// ---------------------------------------------------------- ternary engine
-
-/// One hash table per distinct mask combination; every group is probed and
-/// the highest-priority hit wins. Range components fall into a linear-scan
-/// group (ranges are not mask-encodable).
-class TernaryEngine final : public MatchEngine {
-public:
-    void rebuild(const Table& table,
-                 const std::vector<TableEntry>& entries) override {
-        groups_.clear();
-        linear_.clear();
-        widths_.clear();
-        entries_ = &entries;
-        for (const ir::MatchKey& k : table.keys) widths_.push_back(k.width_bits);
-
-        std::map<std::vector<std::uint64_t>, Group> by_mask;
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            std::vector<std::uint64_t> masks;
-            KeyVec masked;
-            bool hashable = true;
-            for (std::size_t c = 0; c < entries[i].key.size(); ++c) {
-                const FieldMatch& m = entries[i].key[c];
-                int width = widths_[c];
-                std::uint64_t mask = 0;
-                switch (m.kind) {
-                    case MatchKind::Exact: mask = width_mask(width); break;
-                    case MatchKind::Lpm: mask = prefix_mask(m.prefix_len, width); break;
-                    case MatchKind::Ternary: mask = m.mask; break;
-                    case MatchKind::Range: mask = 0; hashable = false; break;
-                }
-                if (!hashable) break;
-                masks.push_back(mask);
-                masked.push_back(m.value & mask);
-            }
-            if (!hashable) {
-                linear_.push_back(i);
-                continue;
-            }
-            Group& g = by_mask[masks];
-            g.masks = masks;
-            auto [it, inserted] = g.map.emplace(masked, i);
-            if (!inserted) {
-                // Keep the higher-priority entry (lower index breaks ties).
-                std::size_t old = it->second;
-                if (entries[i].priority > entries[old].priority) it->second = i;
-            }
+    for (std::uint32_t i : linear_) {
+        const TableEntry& e = list_->entries[i];
+        bool hit = true;
+        for (std::size_t c = 0; c < key.size() && hit; ++c) {
+            hit = e.key[c].matches(key[c], widths_[c]);
         }
-        for (auto& [masks, g] : by_mask) groups_.push_back(std::move(g));
+        if (hit && (best == kNil || before(i, best))) best = i;
     }
+    if (best == kNil) return std::nullopt;
+    return MatchOutcome{best};
+}
 
-    std::optional<MatchOutcome> lookup(const KeyVec& key) const override {
-        const std::vector<TableEntry>& entries = *entries_;
-        std::optional<std::size_t> best;
-        auto better = [&entries](std::size_t a, std::size_t b) {
-            if (entries[a].priority != entries[b].priority) {
-                return entries[a].priority > entries[b].priority;
-            }
-            return a < b;
-        };
-        for (const Group& g : groups_) {
-            KeyVec masked;
-            masked.reserve(key.size());
-            for (std::size_t c = 0; c < key.size(); ++c) {
-                masked.push_back(key[c] & g.masks[c]);
-            }
-            auto it = g.map.find(masked);
-            if (it != g.map.end() &&
-                (!best.has_value() || better(it->second, *best))) {
-                best = it->second;
-            }
-        }
-        for (std::size_t i : linear_) {
-            const TableEntry& e = entries[i];
-            bool hit = true;
-            for (std::size_t c = 0; c < key.size() && hit; ++c) {
-                hit = e.key[c].matches(key[c], widths_[c]);
-            }
-            if (hit && (!best.has_value() || better(i, *best))) best = i;
-        }
-        if (!best.has_value()) return std::nullopt;
-        return MatchOutcome{*best};
-    }
-
-    int m() const override {
-        return std::max(
-            1, static_cast<int>(groups_.size() + (linear_.empty() ? 0 : 1)));
-    }
-
-private:
-    struct Group {
-        std::vector<std::uint64_t> masks;
-        std::unordered_map<KeyVec, std::size_t, KeyVecHash> map;
-    };
-    std::vector<Group> groups_;
-    std::vector<std::size_t> linear_;
-    std::vector<int> widths_;
-    const std::vector<TableEntry>* entries_ = nullptr;
-};
-
-}  // namespace
-
-std::unique_ptr<MatchEngine> make_engine(const Table& table) {
-    switch (table.effective_match_kind()) {
-        case MatchKind::Exact: return std::make_unique<ExactEngine>();
-        case MatchKind::Lpm: return std::make_unique<LpmEngine>();
-        case MatchKind::Ternary:
-        case MatchKind::Range: return std::make_unique<TernaryEngine>();
-    }
-    return std::make_unique<ExactEngine>();
+int MatchEngine::m() const {
+    if (kind_ == MatchKind::Exact) return 1;
+    return std::max(1, static_cast<int>(groups_.size() + (linear_.empty() ? 0 : 1)));
 }
 
 }  // namespace pipeleon::sim

@@ -4,55 +4,81 @@
 
 namespace pipeleon::sim {
 
-TableState::TableState(const ir::Table& table)
-    : table_(table), engine_(make_engine(table)) {
-    engine_->rebuild(table_, entries_);
+TableState::TableState(const ir::Table& table) : table_(table), engine_(table) {
+    engine_.rebuild(list_);
+}
+
+std::vector<ir::TableEntry> TableState::entries_in_order() const {
+    std::vector<std::uint32_t> order(list_.entries.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        order[i] = static_cast<std::uint32_t>(i);
+    }
+    std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
+        return list_.stamps[a] < list_.stamps[b];
+    });
+    std::vector<ir::TableEntry> out;
+    out.reserve(order.size());
+    for (std::uint32_t i : order) out.push_back(list_.entries[i]);
+    return out;
 }
 
 void TableState::set_entries(std::vector<ir::TableEntry> entries) {
-    entries_ = std::move(entries);
-    engine_->rebuild(table_, entries_);
+    list_ = EntryList::ordered(std::move(entries));
+    // Headroom for churn: the first insert after a bulk load must not
+    // double the vectors.
+    const std::size_t room = list_.entries.size() + list_.entries.size() / 8;
+    list_.entries.reserve(room);
+    list_.stamps.reserve(room);
+    next_stamp_ = list_.entries.size();
+    engine_.rebuild(list_);
+    diversity_.clear();
+    for (const ir::TableEntry& e : list_.entries) diversity_.add(e);
     ++updates_;
 }
 
 bool TableState::insert(const ir::TableEntry& entry) {
     if (!entry.compatible_with(table_)) return false;
-    if (entries_.size() >= table_.size) return false;
-    entries_.push_back(entry);
-    engine_->rebuild(table_, entries_);
+    if (list_.entries.size() >= table_.size) return false;
+    append(entry);
+    return true;
+}
+
+void TableState::append(ir::TableEntry entry) {
+    diversity_.add(entry);
+    list_.entries.push_back(std::move(entry));
+    list_.stamps.push_back(next_stamp_++);
+    engine_.link(list_.entries.size() - 1);
+    ++updates_;
+}
+
+bool TableState::erase(const std::vector<ir::FieldMatch>& key) {
+    const std::optional<std::size_t> pos = engine_.find(key);
+    if (!pos.has_value()) return false;
+    const std::size_t i = *pos;
+    const std::size_t last = list_.entries.size() - 1;
+    engine_.unlink(i);
+    diversity_.remove(list_.entries[i]);
+    if (i != last) {
+        engine_.move(last, i);
+        list_.entries[i] = std::move(list_.entries[last]);
+        list_.stamps[i] = list_.stamps[last];
+    }
+    list_.entries.pop_back();
+    list_.stamps.pop_back();
     ++updates_;
     return true;
 }
 
-bool TableState::erase(const std::vector<ir::FieldMatch>& key) {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->key == key) {
-            entries_.erase(it);
-            engine_->rebuild(table_, entries_);
-            ++updates_;
-            return true;
-        }
-    }
-    return false;
-}
-
 bool TableState::modify(const ir::TableEntry& entry) {
-    for (ir::TableEntry& e : entries_) {
-        if (e.key == entry.key) {
-            e = entry;
-            engine_->rebuild(table_, entries_);
-            ++updates_;
-            return true;
-        }
-    }
-    return false;
+    const std::optional<std::size_t> pos = engine_.find(entry.key);
+    if (!pos.has_value()) return false;
+    // Same key, so the same prefix lengths and masks: diversity holds.
+    engine_.unlink(*pos);
+    list_.entries[*pos] = entry;
+    engine_.link(*pos);
+    ++updates_;
+    return true;
 }
-
-int TableState::lpm_prefix_count() const {
-    return ir::distinct_prefix_lengths(entries_);
-}
-
-int TableState::ternary_mask_count() const { return ir::distinct_masks(entries_); }
 
 CacheStore::CacheStore(const ir::CacheConfig& config)
     : config_(config), tokens_(config.max_insert_per_sec) {}
@@ -104,7 +130,7 @@ void CacheStore::index_grow() {
     std::size_t want = index_.empty() ? 16 : index_.size() * 2;
     index_.assign(want, IndexCell{});
     for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-        index_insert(KeyVecHash{}(slots_[s].key), s);
+        index_insert(slots_[s].hash, s);
     }
 }
 
@@ -136,7 +162,7 @@ void CacheStore::lru_push_front(std::uint32_t s) {
 
 void CacheStore::evict_tail() {
     const std::uint32_t victim = tail_;
-    index_erase(probe(slots_[victim].key, KeyVecHash{}(slots_[victim].key)));
+    index_erase(probe(slots_[victim].key, slots_[victim].hash));
     lru_unlink(victim);
     // Demotion hook: hand the victim to the sink (which swaps the contents
     // away) before recycling the slot.
@@ -280,8 +306,9 @@ bool CacheStore::insert(const KeyVec& key, CacheEntry entry, double now_seconds)
         slots_[s].entry = std::move(entry);
     } else {
         s = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(Slot{key, std::move(entry), kNil, kNil});
+        slots_.push_back(Slot{key, std::move(entry)});
     }
+    slots_[s].hash = h;
     lru_push_front(s);
     index_insert(h, s);
     ++live_;
@@ -319,14 +346,24 @@ void CacheStore::promote_swap(KeyVec& key, CacheEntry& entry) {
     }
     std::swap(slots_[s].key, key);
     std::swap(slots_[s].entry, entry);
+    slots_[s].hash = h;
     lru_push_front(s);
     index_insert(h, s);
     ++live_;
 }
 
 void CacheStore::clear() {
+    // O(live), not O(index capacity): each live key empties its probe run
+    // from its home cell up to the first empty cell. Every cell is being
+    // cleared anyway, and a run already emptied stops the next walk, so the
+    // walks visit at most 2 x live cells in all.
+    const std::size_t mask = index_.size() - 1;
     for (std::uint32_t s = head_; s != kNil;) {
         const std::uint32_t next = slots_[s].next;
+        for (std::size_t i = slots_[s].hash & mask;
+             index_[i].slot != kNil; i = (i + 1) & mask) {
+            index_[i] = IndexCell{};
+        }
         slots_[s].key.clear();
         slots_[s].entry.steps.clear();
         slots_[s].prev = slots_[s].next = kNil;
@@ -335,7 +372,6 @@ void CacheStore::clear() {
     }
     head_ = tail_ = kNil;
     live_ = 0;
-    std::fill(index_.begin(), index_.end(), IndexCell{});
 }
 
 }  // namespace pipeleon::sim

@@ -15,40 +15,63 @@
 namespace pipeleon::sim {
 
 /// State of a non-cache table: entries + engine + update accounting.
+///
+/// Every op is applied in place (DESIGN.md §7.1): insert appends, erase
+/// swaps the last entry into the hole, and the engine re-indexes only the
+/// entries that moved, so one op costs O(1) in the table size (see
+/// sim/engine.h for the per-kind bounds). Insertion order, which decides
+/// every tie, travels as a stamp per entry.
 class TableState {
 public:
     explicit TableState(const ir::Table& table);
+    // The engine points into list_, so the state never copies or moves.
+    TableState(const TableState&) = delete;
+    TableState& operator=(const TableState&) = delete;
 
-    const std::vector<ir::TableEntry>& entries() const { return entries_; }
+    const ir::Table& table() const { return table_; }
 
-    /// Replaces all entries (engine rebuilt).
+    /// The live entries. After an erase they are not in insertion order;
+    /// entries_in_order() is.
+    const std::vector<ir::TableEntry>& entries() const { return list_.entries; }
+    /// Copy of the live entries in insertion order — what a bulk load must
+    /// carry to keep this table's tie-breaks.
+    std::vector<ir::TableEntry> entries_in_order() const;
+
+    /// Replaces all entries, in insertion order (engine rebuilt).
     void set_entries(std::vector<ir::TableEntry> entries);
 
     /// Inserts an entry; returns false (and leaves state unchanged) when the
     /// entry is incompatible with the table or capacity is exhausted.
     bool insert(const ir::TableEntry& entry);
-    /// Removes the entry with an identical key; false when absent.
+    /// Appends an entry unchecked, like a one-entry set_entries: the
+    /// mirror of an authoritative store (runtime::ApiMapper), which accepts
+    /// entries past the declared size.
+    void append(ir::TableEntry entry);
+    /// Removes the oldest entry with an identical key; false when absent.
     bool erase(const std::vector<ir::FieldMatch>& key);
-    /// Replaces the action/data of the entry with an identical key.
+    /// Replaces the action/data/priority of the oldest entry with an
+    /// identical key; it keeps its place in insertion order.
     bool modify(const ir::TableEntry& entry);
 
     std::optional<MatchOutcome> lookup(const KeyVec& key) const {
-        return engine_->lookup(key);
+        return engine_.lookup(key);
     }
-    int m() const { return engine_->m(); }
+    int m() const { return engine_.m(); }
 
     std::uint64_t update_count() const { return updates_; }
     void reset_update_count() { updates_ = 0; }
 
     /// Distinct prefix lengths / masks among live entries (cost-model m
-    /// inputs exported to the profiler).
-    int lpm_prefix_count() const;
-    int ternary_mask_count() const;
+    /// inputs exported to the profiler), maintained per op.
+    int lpm_prefix_count() const { return diversity_.prefix_lengths(); }
+    int ternary_mask_count() const { return diversity_.masks(); }
 
 private:
     ir::Table table_;
-    std::vector<ir::TableEntry> entries_;
-    std::unique_ptr<MatchEngine> engine_;
+    EntryList list_;
+    std::uint64_t next_stamp_ = 0;
+    MatchEngine engine_;
+    ir::EntryDiversity diversity_;
     std::uint64_t updates_ = 0;
 };
 
@@ -142,6 +165,8 @@ public:
     /// Full invalidation (covered-table update, or redeployment). Slot and
     /// index capacity are retained — invalidations are frequent (§3.2.2)
     /// and refilling into recycled storage is the allocation-free path.
+    /// Costs O(live entries), not O(index capacity): an empty store does
+    /// no work.
     void clear();
 
     std::size_t size() const { return live_; }
@@ -151,11 +176,13 @@ public:
 private:
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-    /// One cached flow: payload plus intrusive LRU links (slot indices, not
-    /// pointers — stable across slot-array growth).
+    /// One cached flow: payload, its key hash (evictions, index growth and
+    /// clear() find its cell without rehashing), plus intrusive LRU links
+    /// (slot indices, not pointers — stable across slot-array growth).
     struct Slot {
         KeyVec key;
         CacheEntry entry;
+        std::uint64_t hash = 0;
         std::uint32_t prev = kNil;
         std::uint32_t next = kNil;
     };

@@ -181,8 +181,14 @@ bool FlatTier::erase(const KeyVec& key, std::uint64_t h) {
 }
 
 void FlatTier::clear() {
+    // O(live): each live key empties its probe run (see CacheStore::clear).
+    const std::size_t mask = index_.size() - 1;
     for (std::uint32_t s = head_; s != kNil;) {
         const std::uint32_t next = slots_[s].next;
+        for (std::size_t i = slots_[s].hash & mask; index_[i].slot != kNil;
+             i = (i + 1) & mask) {
+            index_[i] = IndexCell{};
+        }
         slots_[s].prev = slots_[s].next = kNil;
         slots_[s].key.clear();
         slots_[s].entry.steps.clear();
@@ -194,7 +200,6 @@ void FlatTier::clear() {
     }
     head_ = tail_ = kNil;
     live_ = 0;
-    std::fill(index_.begin(), index_.end(), IndexCell{});
 }
 
 // ---------------------------------------------------------- TieredStore

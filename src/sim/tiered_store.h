@@ -119,6 +119,7 @@ public:
     /// step, applied lazily on the next touch.
     void advance_epoch() { ++epoch_; }
 
+    /// Drops every entry in O(live entries) (index capacity retained).
     void clear();
     std::size_t size() const { return live_; }
     std::size_t capacity() const { return capacity_; }

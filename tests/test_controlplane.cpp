@@ -281,17 +281,29 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
         }
     });
 
+    // Start enqueuing once a batch is in flight (bounded wait): before the
+    // data thread gets going, every insert applies synchronously.
+    auto start_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!emu.batch_in_flight() && std::chrono::steady_clock::now() < start_deadline) {
+        std::this_thread::yield();
+    }
+
     // Enqueue from the control thread while batches run. Every call must
     // return (possibly with the optimistic deferred result) — a single
     // blocked enqueue would hang the loop and the test would time out.
+    // Inserts stay within t0's free capacity, so none may be refused; the
+    // results are checked after the join (a fatal assertion here would
+    // leave the data thread running).
+    const std::size_t room = prog.node(prog.find_table("t0")).table.size - base_entries;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     std::uint64_t inserted = 0;
+    std::uint64_t refused = 0;
     std::uint64_t key = 1u << 20;
     bool observed_in_flight = false;
-    while (std::chrono::steady_clock::now() < deadline) {
+    while (inserted < room && std::chrono::steady_clock::now() < deadline) {
         if (emu.batch_in_flight()) observed_in_flight = true;
-        ASSERT_TRUE(emu.insert_entry("t0", exact_entry(key++, 0)));
+        if (!emu.insert_entry("t0", exact_entry(key++, 0))) ++refused;
         ++inserted;
         if (inserted % 256 == 0) {
             emu.invalidate_caches_covering("t1");  // returns -1 when deferred
@@ -300,6 +312,7 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
     }
     stop.store(true);
     data.join();
+    EXPECT_EQ(refused, 0u);
 
     emu.drain_control();
     sim::Emulator::ControlPlaneStats stats = emu.control_stats();

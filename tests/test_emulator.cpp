@@ -425,6 +425,38 @@ TEST(Emulator, ReconfigurePreservesEntriesAndChargesDowntime) {
                      0.0);
 }
 
+/// Erase swaps the last entry into the hole, so the dense entry vector is
+/// no longer in insertion order; a redeploy must still carry insertion
+/// order, or duplicate keys would change winners.
+TEST(Emulator, ReconfigureKeepsInsertionOrderTieBreaks) {
+    ProgramBuilder b("dup");
+    Action set_meta;
+    set_meta.name = "set_meta";
+    set_meta.primitives.push_back(Primitive::set_from_arg("meta", 0));
+    b.append(TableSpec("t").key("f").action(set_meta).build());
+    const Program p = b.build();
+    Emulator emu(test_model(), p, no_instr());
+    ASSERT_TRUE(emu.insert_entry("t", exact_entry(9, 0, {1})));
+    ASSERT_TRUE(emu.insert_entry("t", exact_entry(7, 0, {2})));  // oldest 7
+    ASSERT_TRUE(emu.insert_entry("t", exact_entry(7, 0, {3})));
+    ASSERT_TRUE(emu.delete_entry("t", {FieldMatch::exact(9)}));
+    // The newest 7 now sits first in the dense vector.
+    ASSERT_EQ(emu.entries("t")->front().action_data, std::vector<std::uint64_t>{3});
+
+    auto meta_for_7 = [&emu] {
+        Packet pkt;
+        pkt.set(emu.fields().intern("f"), 7);
+        emu.process(pkt);
+        return pkt.get(emu.fields().find("meta"));
+    };
+    EXPECT_EQ(meta_for_7(), 2u);
+    emu.reconfigure(p);
+    EXPECT_EQ(meta_for_7(), 2u);
+    // Erase still addresses the oldest holder of the key.
+    ASSERT_TRUE(emu.delete_entry("t", {FieldMatch::exact(7)}));
+    EXPECT_EQ(meta_for_7(), 3u);
+}
+
 TEST(Emulator, IncrementalReconfigureKeepsWarmCaches) {
     // Two independent cached regions; changing one must not cool the other.
     Program p = cached_two_tables();

@@ -142,8 +142,10 @@ TEST(Entries, DistinctMasks) {
     EXPECT_EQ(distinct_masks(exact_only), 0);
 }
 
+// gtest names each case after the parameter's bytes, so the struct must
+// have no padding: uninitialized padding bytes change the names run to run.
 struct WidthCase {
-    int width;
+    std::int64_t width;
     std::uint64_t inside;
     std::uint64_t outside;
 };
@@ -152,9 +154,10 @@ class LpmWidths : public testing::TestWithParam<WidthCase> {};
 
 TEST_P(LpmWidths, PrefixMaskRespectsWidth) {
     const WidthCase& c = GetParam();
-    FieldMatch m = FieldMatch::lpm(c.inside, c.width / 2);
-    EXPECT_TRUE(m.matches(c.inside, c.width));
-    EXPECT_FALSE(m.matches(c.outside, c.width));
+    const int width = static_cast<int>(c.width);
+    FieldMatch m = FieldMatch::lpm(c.inside, width / 2);
+    EXPECT_TRUE(m.matches(c.inside, width));
+    EXPECT_FALSE(m.matches(c.outside, width));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,11 +3,16 @@
 // loop (Fig 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "analysis/pipelet.h"
 #include "ir/builder.h"
+#include "opt/merge.h"
 #include "opt/transform.h"
 #include "runtime/controller.h"
 #include "trafficgen/workload.h"
+#include "util/rng.h"
 
 namespace pipeleon::runtime {
 namespace {
@@ -141,6 +146,150 @@ TEST(ApiMapper, DeployEntriesAfterReconfigure) {
     api.deploy_entries(emu);
     EXPECT_EQ(emu.entry_count("A"), 1u);
     EXPECT_EQ(emu.entry_count("B"), 1u);
+}
+
+/// The two-table original under a merge (merged=true) or a covering cache.
+Program optimized_two_tables(bool merged) {
+    Program original = two_tables();
+    auto pipelets = analysis::form_pipelets(original);
+    opt::PipeletPlan plan;
+    plan.pipelet_id = 0;
+    plan.layout.order = {0, 1};
+    if (merged) {
+        plan.layout.merges = {opt::MergeSpec{opt::Segment{0, 1}, false}};
+    } else {
+        plan.layout.caches = {opt::Segment{0, 1}};
+    }
+    return opt::apply_plans(original, pipelets, {plan});
+}
+
+/// Each ApiMapper call reaches the emulator as exactly one control op
+/// (entry change, merged rebuilds and cache invalidation together), so no
+/// batch can run between its parts; a refused call submits nothing.
+TEST(ApiMapper, OneControlOpPerCall) {
+    for (bool merged : {true, false}) {
+        sim::Emulator emu(nic(), optimized_two_tables(merged), {});
+        ApiMapper api(two_tables());
+        auto submitted = [&emu] { return emu.control_stats().ops_submitted; };
+        std::uint64_t before = submitted();
+        ASSERT_TRUE(api.insert(emu, "A", exact_entry(1, 0)));
+        EXPECT_EQ(submitted(), before + 1);
+        before = submitted();
+        ASSERT_TRUE(api.modify(emu, "A", exact_entry(1, 1)));
+        EXPECT_EQ(submitted(), before + 1);
+        before = submitted();
+        ASSERT_TRUE(api.erase(emu, "A", {FieldMatch::exact(1)}));
+        EXPECT_EQ(submitted(), before + 1);
+        before = submitted();
+        EXPECT_FALSE(api.erase(emu, "A", {FieldMatch::exact(1)}));
+        EXPECT_EQ(submitted(), before);
+    }
+}
+
+/// Orders entries by content, for comparing entry sets.
+bool entry_less(const TableEntry& a, const TableEntry& b) {
+    auto flat = [](const TableEntry& e) {
+        std::vector<std::uint64_t> v;
+        for (const FieldMatch& m : e.key) {
+            v.insert(v.end(), {static_cast<std::uint64_t>(m.kind), m.value, m.mask,
+                               static_cast<std::uint64_t>(m.prefix_len)});
+        }
+        v.push_back(static_cast<std::uint64_t>(e.action_index));
+        v.push_back(static_cast<std::uint64_t>(e.priority));
+        v.insert(v.end(), e.action_data.begin(), e.action_data.end());
+        return v;
+    };
+    return flat(a) < flat(b);
+}
+
+std::vector<TableEntry> sorted(std::vector<TableEntry> v) {
+    std::sort(v.begin(), v.end(), entry_less);
+    return v;
+}
+
+/// Random inserts (duplicate keys included), erases and modifies through
+/// the mapper keep every deployed table equal to an insertion-ordered model
+/// of the store: the direct table holds the model's entries — including
+/// those past its declared size, accepted as always — and the merged table
+/// exactly the cross product of the model's lists. Packets then match as
+/// on an emulator freshly loaded from the store, so tie-breaks survived the
+/// in-place updates.
+TEST(ApiMapper, DeployedTablesAgreeWithStore) {
+    ProgramBuilder b("orig3");
+    b.append(TableSpec("A").key("src").noop_action("a1").noop_action("a2").build());
+    b.append(TableSpec("B").key("dst").noop_action("b1").noop_action("b2").build());
+    b.append(
+        TableSpec("C").key("port").noop_action("c1").noop_action("c2").size(4).build());
+    const Program original = b.build();
+    auto pipelets = analysis::form_pipelets(original);
+    ASSERT_EQ(pipelets.size(), 1u);
+    opt::PipeletPlan plan;
+    plan.pipelet_id = 0;
+    plan.layout.order = {0, 1, 2};
+    plan.layout.merges = {opt::MergeSpec{opt::Segment{0, 1}, false}};
+    const Program optimized = opt::apply_plans(original, pipelets, {plan});
+    const NodeId merged_id = optimized.find_table("merge_A_B");
+    ASSERT_NE(merged_id, kNoNode);
+    ASSERT_NE(optimized.find_table("C"), kNoNode);
+    const std::vector<const ir::Table*> sources = {
+        &original.node(original.find_table("A")).table,
+        &original.node(original.find_table("B")).table};
+
+    sim::Emulator emu(nic(), optimized, {});
+    ApiMapper api(original);
+    std::map<std::string, std::vector<TableEntry>> model;  // insertion order
+    for (std::uint64_t k = 0; k < 6; ++k) {
+        const TableEntry e = exact_entry(k % 3, static_cast<int>(k % 2));
+        ASSERT_TRUE(api.insert(emu, "C", e));
+        model["C"].push_back(e);
+    }
+    EXPECT_EQ(emu.entry_count("C"), 6u);  // past the declared size of 4
+
+    util::Rng rng(21);
+    const char* const names[] = {"A", "B", "C"};
+    for (int op = 0; op < 300; ++op) {
+        const std::string table = names[rng.next_below(3)];
+        const TableEntry e =
+            exact_entry(rng.next_below(4), static_cast<int>(rng.next_below(2)));
+        std::vector<TableEntry>& live = model[table];
+        auto oldest = std::find_if(live.begin(), live.end(),
+                                   [&e](const TableEntry& x) { return x.key == e.key; });
+        const std::uint64_t dice = rng.next_below(10);
+        if (dice < 5) {
+            ASSERT_TRUE(api.insert(emu, table, e));
+            live.push_back(e);
+        } else if (dice < 8) {
+            ASSERT_EQ(api.erase(emu, table, e.key), oldest != live.end());
+            if (oldest != live.end()) live.erase(oldest);
+        } else {
+            ASSERT_EQ(api.modify(emu, table, e), oldest != live.end());
+            if (oldest != live.end()) *oldest = e;
+        }
+        ASSERT_EQ(sorted(*emu.entries("C")), sorted(model["C"])) << "op " << op;
+        const auto cross = opt::build_merged_entries(
+            sources, {model["A"], model["B"]}, optimized.node(merged_id).table, false);
+        ASSERT_TRUE(cross.has_value());
+        ASSERT_EQ(*emu.entries("merge_A_B"), *cross) << "op " << op;
+    }
+
+    sim::Emulator fresh(nic(), optimized, {});
+    api.deploy_entries(fresh);
+    const sim::FieldId src = emu.fields().intern("src");
+    const sim::FieldId dst = emu.fields().intern("dst");
+    const sim::FieldId port = emu.fields().intern("port");
+    for (int i = 0; i < 200; ++i) {
+        sim::Packet p;
+        p.set(src, rng.next_below(5));
+        p.set(dst, rng.next_below(5));
+        p.set(port, rng.next_below(5));
+        sim::Packet q = p;
+        const sim::ProcessResult a = emu.process(p);
+        const sim::ProcessResult c = fresh.process(q);
+        ASSERT_EQ(a.cycles, c.cycles);
+        ASSERT_EQ(a.nodes_visited, c.nodes_visited);
+    }
+    EXPECT_EQ(emu.read_counters().action_hits, fresh.read_counters().action_hits);
+    EXPECT_EQ(emu.read_counters().misses, fresh.read_counters().misses);
 }
 
 // ---------------------------------------------------------------- controller

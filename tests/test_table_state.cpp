@@ -87,6 +87,68 @@ TEST(TableState, PrefixAndMaskCounts) {
     EXPECT_EQ(state.ternary_mask_count(), 0);
 }
 
+/// Random checked inserts, unchecked appends, erases and modifies on a table
+/// with an LPM and a ternary component: the entries stay in insertion order
+/// (via the stamps), the maintained prefix/mask counts equal a rescan, and
+/// only the checked insert honours the declared size.
+TEST(TableState, RandomOpsKeepOrderCountsAndCapacity) {
+    ir::Table t = TableSpec("t")
+                      .key("a", ir::MatchKind::Lpm, 16)
+                      .key("b", ir::MatchKind::Ternary, 16)
+                      .noop_action("x")
+                      .noop_action("y")
+                      .size(24)
+                      .build();
+    util::Rng rng(11);
+    auto random_entry = [&rng] {
+        static const std::uint64_t kMasks[] = {0xFFFF, 0xFF00, 0x0F0F};
+        TableEntry e;
+        const int len = 4 * static_cast<int>(rng.next_below(4));
+        e.key = {FieldMatch::lpm(rng.next_below(4) << 12, len),
+                 rng.next_below(4) == 0
+                     ? FieldMatch::exact(rng.next_below(4))
+                     : FieldMatch::ternary(rng.next_below(4), kMasks[rng.next_below(3)])};
+        e.action_index = static_cast<int>(rng.next_below(2));
+        e.priority = static_cast<int>(rng.next_below(3));
+        return e;
+    };
+    TableState state(t);
+    std::vector<TableEntry> live;
+    for (int op = 0; op < 2000; ++op) {
+        const std::uint64_t dice = rng.next_below(8);
+        if (dice < 2) {
+            TableEntry e = random_entry();
+            const bool room = live.size() < t.size;
+            ASSERT_EQ(state.insert(e), room) << "op " << op;
+            if (room) live.push_back(e);
+        } else if (dice < 4) {
+            TableEntry e = random_entry();
+            state.append(e);  // past the declared size too
+            live.push_back(e);
+        } else if (dice < 7 && !live.empty()) {
+            const std::vector<FieldMatch> key = live[rng.next_below(live.size())].key;
+            ASSERT_TRUE(state.erase(key));
+            auto same_key = [&key](const TableEntry& e) { return e.key == key; };
+            live.erase(std::find_if(live.begin(), live.end(), same_key));
+        } else if (!live.empty()) {
+            TableEntry e = random_entry();
+            e.key = live[rng.next_below(live.size())].key;
+            ASSERT_TRUE(state.modify(e));
+            *std::find_if(live.begin(), live.end(),
+                          [&e](const TableEntry& x) { return x.key == e.key; }) = e;
+        }
+        ASSERT_EQ(state.entries_in_order(), live) << "op " << op;
+        ASSERT_EQ(state.lpm_prefix_count(), ir::distinct_prefix_lengths(live)) << op;
+        ASSERT_EQ(state.ternary_mask_count(), ir::distinct_masks(live)) << op;
+    }
+    // A bulk load restarts insertion order at the given order.
+    state.set_entries(live);
+    EXPECT_EQ(state.entries(), live);
+    EXPECT_EQ(state.entries_in_order(), live);
+    EXPECT_EQ(state.lpm_prefix_count(), ir::distinct_prefix_lengths(live));
+    EXPECT_EQ(state.ternary_mask_count(), ir::distinct_masks(live));
+}
+
 CacheStore::CacheEntry make_payload(int marker) {
     CacheStore::CacheEntry e;
     ReplayStep step;
@@ -147,6 +209,41 @@ TEST(CacheStore, ClearEmptiesEverything) {
     store.clear();
     EXPECT_EQ(store.size(), 0u);
     EXPECT_EQ(store.lookup({1}), nullptr);
+}
+
+/// clear() walks only the live entries' probe runs. After the index has
+/// grown and is then sparsely refilled, a clear must still leave every old
+/// key missing, and the store must refill exactly like a fresh one.
+TEST(CacheStore, ClearOfGrownSparseIndexRefillsLikeFresh) {
+    ir::CacheConfig cfg;
+    cfg.capacity = 512;
+    cfg.max_insert_per_sec = 1e9;
+    CacheStore store(cfg);
+    for (std::uint64_t k = 0; k < 512; ++k) store.insert({k}, make_payload(1), 0.0);
+    store.clear();
+    for (std::uint64_t k : {7, 300, 511}) store.insert({k}, make_payload(2), 0.0);
+    store.clear();
+    EXPECT_EQ(store.size(), 0u);
+    for (std::uint64_t k = 0; k < 512; ++k) ASSERT_EQ(store.lookup({k}), nullptr) << k;
+
+    CacheStore fresh(cfg);
+    util::Rng rng(5);
+    for (int op = 0; op < 5000; ++op) {
+        const KeyVec key{rng.next_below(800)};
+        if (rng.next_below(2) == 0) {
+            const int marker = static_cast<int>(rng.next_below(100));
+            ASSERT_EQ(store.insert(key, make_payload(marker), 0.0),
+                      fresh.insert(key, make_payload(marker), 0.0));
+        } else {
+            const CacheStore::CacheEntry* a = store.lookup(key);
+            const CacheStore::CacheEntry* b = fresh.lookup(key);
+            ASSERT_EQ(a == nullptr, b == nullptr) << "op " << op;
+            if (a != nullptr) {
+                ASSERT_EQ(a->steps[0].origin_node, b->steps[0].origin_node);
+            }
+        }
+        ASSERT_EQ(store.size(), fresh.size());
+    }
 }
 
 TEST(CacheStore, ZeroCapacityNeverStores) {

@@ -449,6 +449,50 @@ TEST(TieredStore, ClearEmptiesAllTiers) {
     EXPECT_EQ(store.lookup({42}).tier, 0);
 }
 
+/// FlatTier::clear walks only the live entries' probe runs: after the index
+/// has grown and been sparsely refilled, every old key is gone and the tier
+/// refills (inserts, LRU evictions, lookups) exactly like a fresh one.
+TEST(FlatTier, ClearOfGrownSparseIndexRefillsLikeFresh) {
+    FlatTier tier(256);
+    auto put = [](FlatTier& t, std::uint64_t k, int marker) {
+        KeyVec key{k};
+        CacheStore::CacheEntry e = payload(marker);
+        t.insert_swap(key, e);
+    };
+    auto find = [](const FlatTier& t, std::uint64_t k) {
+        const KeyVec key{k};
+        return t.find(key, KeyVecHash{}(key));
+    };
+    for (std::uint64_t k = 0; k < 256; ++k) put(tier, k, 1);
+    tier.clear();
+    for (std::uint64_t k : {3, 128, 255}) put(tier, k, 2);
+    tier.clear();
+    EXPECT_EQ(tier.size(), 0u);
+    for (std::uint64_t k = 0; k < 256; ++k) ASSERT_EQ(find(tier, k), FlatTier::kNil) << k;
+
+    FlatTier fresh(256);
+    util::Rng rng(9);
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t k = rng.next_below(400);
+        if (rng.next_below(2) == 0) {
+            const int marker = static_cast<int>(rng.next_below(100));
+            put(tier, k, marker);
+            put(fresh, k, marker);
+        } else {
+            const std::uint32_t a = find(tier, k);
+            const std::uint32_t b = find(fresh, k);
+            ASSERT_EQ(a == FlatTier::kNil, b == FlatTier::kNil) << "op " << op;
+            if (a != FlatTier::kNil) {
+                ASSERT_EQ(tier.entry(a).steps[0].origin_node,
+                          fresh.entry(b).steps[0].origin_node);
+                tier.touch(a);
+                fresh.touch(b);
+            }
+        }
+        ASSERT_EQ(tier.size(), fresh.size());
+    }
+}
+
 // ------------------------------------------------- emulator integration
 
 ir::Program tiered_cache_program(std::size_t sram, std::size_t dram) {

@@ -338,6 +338,12 @@ struct RemapFixture {
         return f;
     }
 
+    std::unordered_map<std::string, std::size_t> counts() const {
+        std::unordered_map<std::string, std::size_t> out;
+        for (const auto& [name, entries] : store) out.emplace(name, entries.size());
+        return out;
+    }
+
     std::vector<ir::EntryLoad> full_loads() const {
         return {ir::EntryLoad{"A", store.at("A")},
                 ir::EntryLoad{"B", store.at("B")}};
@@ -348,7 +354,7 @@ TEST(VerifyEntryRemap, FaithfulRemapIsClean) {
     RemapFixture f = RemapFixture::make();
     Verifier v;
     DiagnosticList d =
-        v.check_entry_remap(f.original, f.store, f.original, f.full_loads());
+        v.check_entry_remap(f.original, f.counts(), f.original, f.full_loads());
     EXPECT_TRUE(d.ok()) << d.to_string();
 }
 
@@ -357,7 +363,7 @@ TEST(VerifyEntryRemap, UnknownTableIsReported) {
     auto loads = f.full_loads();
     loads.push_back(ir::EntryLoad{"Z", {}});
     Verifier v;
-    DiagnosticList d = v.check_entry_remap(f.original, f.store, f.original, loads);
+    DiagnosticList d = v.check_entry_remap(f.original, f.counts(), f.original, loads);
     EXPECT_TRUE(d.has_rule("entry.remap.unknown-table")) << d.to_string();
 }
 
@@ -371,7 +377,7 @@ TEST(VerifyEntryRemap, LoadingAFlowCacheIsReported) {
     auto loads = f.full_loads();
     loads.push_back(ir::EntryLoad{"cache_A_B", {}});
     Verifier v;
-    DiagnosticList d = v.check_entry_remap(f.original, f.store, cached, loads);
+    DiagnosticList d = v.check_entry_remap(f.original, f.counts(), cached, loads);
     EXPECT_TRUE(d.has_rule("entry.remap.role")) << d.to_string();
 }
 
@@ -380,7 +386,7 @@ TEST(VerifyEntryRemap, DuplicateLoadIsReported) {
     auto loads = f.full_loads();
     loads.push_back(ir::EntryLoad{"A", f.store.at("A")});
     Verifier v;
-    DiagnosticList d = v.check_entry_remap(f.original, f.store, f.original, loads);
+    DiagnosticList d = v.check_entry_remap(f.original, f.counts(), f.original, loads);
     EXPECT_TRUE(d.has_rule("entry.remap.duplicate-load")) << d.to_string();
 }
 
@@ -389,7 +395,7 @@ TEST(VerifyEntryRemap, CountMismatchOnDirectTableIsReported) {
     auto loads = f.full_loads();
     loads[0].entries.clear();  // A's load silently drops the stored entry
     Verifier v;
-    DiagnosticList d = v.check_entry_remap(f.original, f.store, f.original, loads);
+    DiagnosticList d = v.check_entry_remap(f.original, f.counts(), f.original, loads);
     EXPECT_TRUE(d.has_rule("entry.remap.count")) << d.to_string();
 }
 
@@ -403,7 +409,7 @@ TEST(VerifyEntryRemap, MergedTableWithoutLoadIsReported) {
     // No load at all for the merged cross-product table: it would deploy
     // empty and miss every packet.
     Verifier v;
-    DiagnosticList d = v.check_entry_remap(f.original, f.store, merged, {});
+    DiagnosticList d = v.check_entry_remap(f.original, f.counts(), merged, {});
     EXPECT_TRUE(d.has_rule("entry.remap.missing-load")) << d.to_string();
 }
 
@@ -416,7 +422,7 @@ TEST(VerifyEntryRemap, DroppedOriginalEntriesAreReported) {
 
     Verifier v;
     DiagnosticList d = v.check_entry_remap(
-        f.original, f.store, without_a, {ir::EntryLoad{"B", f.store.at("B")}});
+        f.original, f.counts(), without_a, {ir::EntryLoad{"B", f.store.at("B")}});
     EXPECT_TRUE(d.has_rule("entry.remap.dropped")) << d.to_string();
 }
 
