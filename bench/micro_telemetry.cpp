@@ -55,7 +55,7 @@ int main() {
         for (int i = 0; i < kOps; ++i) h.record_value(static_cast<std::uint64_t>(i) % 4096);
         Clock::time_point t1 = Clock::now();
         hist_ns = ns_per_op(t0, t1, kOps);
-        g_sink += h.count();
+        g_sink = g_sink + h.count();
     }
     {
         telemetry::MetricsRegistry reg;
@@ -81,7 +81,7 @@ int main() {
         }
         t1 = Clock::now();
         merge_ns = ns_per_op(t0, t1, kMerges);
-        g_sink += reg.snapshot().counter("bench.counter");
+        g_sink = g_sink + reg.snapshot().counter("bench.counter");
     }
     {
         telemetry::Tracer::global().set_enabled(false);

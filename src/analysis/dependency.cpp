@@ -7,7 +7,8 @@ namespace pipeleon::analysis {
 
 FieldSets field_sets(const ir::Table& table) {
     FieldSets fs;
-    for (const ir::MatchKey& k : table.keys) fs.reads.insert(k.field);
+    for (const ir::MatchKey& k : table.keys) fs.keys.insert(k.field);
+    fs.reads = fs.keys;
     for (const ir::Action& a : table.actions) {
         for (const std::string& f : a.read_fields()) fs.reads.insert(f);
         for (const std::string& f : a.written_fields()) fs.writes.insert(f);
@@ -37,18 +38,18 @@ bool intersects(const std::set<std::string>& a, const std::set<std::string>& b) 
     return false;
 }
 
+DependencyKind classify(const FieldSets& earlier, const FieldSets& later) {
+    if (intersects(earlier.writes, later.keys)) return DependencyKind::Match;
+    if (intersects(earlier.writes, later.reads)) return DependencyKind::Action;
+    if (intersects(earlier.writes, later.writes)) return DependencyKind::Write;
+    return DependencyKind::None;
+}
+
 }  // namespace
 
 DependencyKind classify_dependency(const ir::Table& earlier,
                                    const ir::Table& later) {
-    FieldSets e = field_sets(earlier);
-    FieldSets l = field_sets(later);
-    std::set<std::string> later_keys;
-    for (const ir::MatchKey& k : later.keys) later_keys.insert(k.field);
-    if (intersects(e.writes, later_keys)) return DependencyKind::Match;
-    if (intersects(e.writes, l.reads)) return DependencyKind::Action;
-    if (intersects(e.writes, l.writes)) return DependencyKind::Write;
-    return DependencyKind::None;
+    return classify(field_sets(earlier), field_sets(later));
 }
 
 bool independent(const ir::Table& a, const ir::Table& b) {
@@ -57,12 +58,13 @@ bool independent(const ir::Table& a, const ir::Table& b) {
 }
 
 DependencyGraph::DependencyGraph(const std::vector<ir::Table>& tables)
-    : n_(tables.size()), dep_(tables.size() * tables.size(), false) {
+    : n_(tables.size()), kind_(n_ * n_, DependencyKind::None) {
+    std::vector<FieldSets> fs;
+    fs.reserve(n_);
+    for (const ir::Table& t : tables) fs.push_back(field_sets(t));
     for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = i + 1; j < n_; ++j) {
-            bool d = !independent(tables[i], tables[j]);
-            dep_[i * n_ + j] = d;
-            dep_[j * n_ + i] = d;
+        for (std::size_t j = 0; j < n_; ++j) {
+            if (i != j) kind_[i * n_ + j] = classify(fs[i], fs[j]);
         }
     }
 }

@@ -5,7 +5,9 @@
 // field the other matches on (match dependency), writes a field the other's
 // actions read (action dependency), or both write the same field (write
 // dependency). Independent tables may be freely reordered, merged, or cached
-// together.
+// together. A pipelet's DependencyGraph holds the directed kind of every
+// table pair, from footprints computed once per table; the candidate search
+// answers its per-layout legality questions from that matrix.
 #pragma once
 
 #include <set>
@@ -18,6 +20,7 @@ namespace pipeleon::analysis {
 
 /// Field-level read/write footprint of a table.
 struct FieldSets {
+    std::set<std::string> keys;    ///< match-key fields
     std::set<std::string> reads;   ///< match-key fields + action-read fields
     std::set<std::string> writes;  ///< action-written fields
 };
@@ -53,6 +56,14 @@ public:
 
     std::size_t size() const { return n_; }
 
+    /// classify_dependency(tables[i], tables[j]) for i != j (None when
+    /// i == j): the dependency of the table at j on the table at i, were i
+    /// to run first. Directed, so it answers for any order a run is placed
+    /// in.
+    DependencyKind kind(std::size_t i, std::size_t j) const {
+        return kind_[i * n_ + j];
+    }
+
     /// True when tables at positions i and j (any order) are dependent.
     bool dependent(std::size_t i, std::size_t j) const;
 
@@ -71,9 +82,12 @@ public:
 
 private:
     std::size_t n_;
-    std::vector<bool> dep_;  // n*n symmetric matrix
+    std::vector<DependencyKind> kind_;  // n*n, row = earlier table
 
-    bool dep_at(std::size_t i, std::size_t j) const { return dep_[i * n_ + j]; }
+    bool dep_at(std::size_t i, std::size_t j) const {
+        return kind(i, j) != DependencyKind::None ||
+               kind(j, i) != DependencyKind::None;
+    }
 };
 
 }  // namespace pipeleon::analysis

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "opt/cache.h"
 #include "opt/merge.h"
 
 namespace pipeleon::opt {
@@ -49,6 +48,8 @@ PipeletEvaluator::PipeletEvaluator(const ir::Program& program,
         in.m = model.m_multiplier(node.table, stats);
         in.exact = node.table.effective_match_kind() == ir::MatchKind::Exact;
         in.optimizable = node.table.role == ir::TableRole::Original;
+        in.mergeable = mergeable_table(node.table, /*as_cache=*/false);
+        in.mergeable_as_cache = mergeable_table(node.table, /*as_cache=*/true);
         in.cache_hits = stats.cache_hits;
         in.cache_misses = stats.cache_misses;
         in.covering_update_rate = stats.covering_update_rate;
@@ -85,16 +86,31 @@ std::vector<std::size_t> PipeletEvaluator::greedy_drop_order() const {
     return order;
 }
 
-double PipeletEvaluator::segment_hit_rate(
-    const std::vector<const Info*>& infos) const {
+PipeletEvaluator::RunEval PipeletEvaluator::eval_run(
+    const std::vector<std::size_t>& order, const Segment& seg) const {
+    RunEval r;
+    double s = 1.0;
+    for (std::size_t p = seg.first; p <= seg.last; ++p) {
+        const Info& in = info_[order[p]];
+        r.run_cost += s * node_cost(in);
+        r.action_replay += s * in.action_cost;
+        s *= 1.0 - in.drop_prob;
+    }
+    r.combined_drop = 1.0 - s;
+    return r;
+}
+
+double PipeletEvaluator::segment_hit_rate(const std::vector<std::size_t>& order,
+                                          const Segment& seg) const {
     std::uint64_t hits = 0, misses = 0;
     double update_rate = 0.0;
     double covering_rate = 0.0;
-    for (const Info* in : infos) {
-        hits += in->cache_hits;
-        misses += in->cache_misses;
-        update_rate += in->update_rate;
-        covering_rate = std::max(covering_rate, in->covering_update_rate);
+    for (std::size_t p = seg.first; p <= seg.last; ++p) {
+        const Info& in = info_[order[p]];
+        hits += in.cache_hits;
+        misses += in.cache_misses;
+        update_rate += in.update_rate;
+        covering_rate = std::max(covering_rate, in.covering_update_rate);
     }
     // The candidate's own covered update rate always applies as an
     // invalidation discount: every covered-table entry update clears the
@@ -130,80 +146,142 @@ double PipeletEvaluator::baseline_latency() const {
 
 bool PipeletEvaluator::can_cache_segment(const std::vector<std::size_t>& order,
                                          const Segment& seg) const {
-    std::vector<const ir::Table*> covered;
-    for (std::size_t p = seg.first; p <= seg.last; ++p) {
-        std::size_t orig = order[p];
-        if (!info_[orig].optimizable) return false;
-        covered.push_back(&tables_[orig]);
+    if (seg.first > seg.last) return false;
+    for (std::size_t x = seg.first; x <= seg.last; ++x) {
+        if (!info_[order[x]].optimizable) return false;
+        // opt::cacheable's rule: the cache looks every key field up before
+        // any covered action runs, so no table may write a later one's key.
+        for (std::size_t y = x + 1; y <= seg.last; ++y) {
+            if (deps_.kind(order[x], order[y]) == analysis::DependencyKind::Match) {
+                return false;
+            }
+        }
     }
-    return cacheable(covered);
+    return true;
 }
 
 bool PipeletEvaluator::can_merge_segment(const std::vector<std::size_t>& order,
                                          const Segment& seg, bool as_cache) const {
-    if (seg.length() < 2) return false;
-    std::vector<const ir::Table*> covered;
-    for (std::size_t p = seg.first; p <= seg.last; ++p) {
-        std::size_t orig = order[p];
-        if (!info_[orig].optimizable) return false;
-        covered.push_back(&tables_[orig]);
-    }
-    // Merged tables perform every component's match in one lookup: the
-    // components must be pairwise independent.
-    for (std::size_t i = seg.first; i <= seg.last; ++i) {
-        for (std::size_t j = i + 1; j <= seg.last; ++j) {
-            if (deps_.dependent(order[i], order[j])) return false;
+    if (seg.last <= seg.first) return false;  // a merge needs two tables
+    for (std::size_t x = seg.first; x <= seg.last; ++x) {
+        const Info& in = info_[order[x]];
+        if (!(as_cache ? in.mergeable_as_cache : in.mergeable)) return false;
+        // Merged tables perform every component's match in one lookup: the
+        // components must be pairwise independent.
+        for (std::size_t y = x + 1; y <= seg.last; ++y) {
+            if (deps_.dependent(order[x], order[y])) return false;
         }
     }
-    return mergeable(covered, as_cache);
+    return true;
+}
+
+PrefixCost PipeletEvaluator::add_plain(const PrefixCost& prefix,
+                                       const std::vector<std::size_t>& order,
+                                       std::size_t pos) const {
+    const Info& in = info_[order[pos]];
+    PrefixCost c = prefix;
+    c.latency += c.survive * node_cost(in);
+    c.survive *= 1.0 - in.drop_prob;
+    return c;
+}
+
+PrefixCost PipeletEvaluator::add_cache(const PrefixCost& prefix,
+                                       const std::vector<std::size_t>& order,
+                                       const Segment& seg,
+                                       const ir::CacheConfig& config) const {
+    PrefixCost c = prefix;
+    RunEval run = eval_run(order, seg);
+    double h = segment_hit_rate(order, seg);
+    double cost = params_.l_mat + instr_cost_ + h * run.action_replay +
+                  (1.0 - h) * run.run_cost;
+    c.latency += c.survive * cost;
+
+    // Reserved cache budget (fixed, LRU beyond): capacity × entry.
+    double key_bytes = 0.0;
+    for (std::size_t p = seg.first; p <= seg.last; ++p) {
+        key_bytes += info_[order[p]].entry_bytes;
+    }
+    c.extra_memory += static_cast<double>(config.capacity) * key_bytes;
+    // Insertions happen on misses, capped by the rate limit; the miss
+    // traffic is the share that reaches this segment at all.
+    double miss_rate = (1.0 - h) * traffic_rate_ * c.survive;
+    c.extra_updates += std::min(config.max_insert_per_sec, miss_rate);
+    c.survive *= 1.0 - run.combined_drop;
+    return c;
+}
+
+PrefixCost PipeletEvaluator::add_merge(const PrefixCost& prefix,
+                                       const std::vector<std::size_t>& order,
+                                       const MergeSpec& merge) const {
+    PrefixCost c = prefix;
+    const Segment& seg = merge.seg;
+    RunEval run = eval_run(order, seg);
+    double act_sum = 0.0;
+    double entry_bytes = 0.0;
+    std::vector<double> entry_counts, update_rates;
+    double removed_memory = 0.0, removed_updates = 0.0;
+    for (std::size_t p = seg.first; p <= seg.last; ++p) {
+        const Info& in = info_[order[p]];
+        act_sum += in.action_cost;
+        entry_bytes += in.entry_bytes;
+        entry_counts.push_back(in.entries);
+        update_rates.push_back(in.update_rate);
+        removed_memory += in.memory;
+        removed_updates += in.update_rate;
+    }
+    double merged_entries = estimated_merged_entries(entry_counts);
+    double merged_updates = estimated_merged_update_rate(entry_counts, update_rates);
+
+    if (merge.as_cache) {
+        // Exact merged cache; hit iff every component hits.
+        double h = 1.0;
+        for (std::size_t p = seg.first; p <= seg.last; ++p) {
+            h *= 1.0 - info_[order[p]].miss_prob;
+        }
+        double cost = params_.l_mat + instr_cost_ + h * act_sum +
+                      (1.0 - h) * run.run_cost;
+        c.latency += c.survive * cost;
+        c.extra_memory += merged_entries * entry_bytes;  // originals stay
+        c.extra_updates += merged_updates;
+    } else {
+        // Full merge becomes a wider (usually ternary) table.
+        double m_product = 1.0;
+        for (std::size_t p = seg.first; p <= seg.last; ++p) {
+            const Info& in = info_[order[p]];
+            m_product *= static_cast<double>(in.exact ? 2 : in.m + 1);
+        }
+        double m_ab = std::min(m_product, static_cast<double>(params_.max_m));
+        double cost = m_ab * params_.l_mat + instr_cost_ + act_sum;
+        c.latency += c.survive * cost;
+        c.extra_memory += merged_entries * entry_bytes * m_ab - removed_memory;
+        c.extra_updates += merged_updates - removed_updates;
+    }
+    c.survive *= 1.0 - run.combined_drop;
+    return c;
+}
+
+EvalResult PipeletEvaluator::finish(const PrefixCost& total) {
+    EvalResult result;
+    result.valid = true;
+    result.latency = total.latency;
+    result.extra_memory = std::max(0.0, total.extra_memory);
+    result.extra_updates = std::max(0.0, total.extra_updates);
+    return result;
 }
 
 EvalResult PipeletEvaluator::evaluate(const CandidateLayout& layout) const {
-    EvalResult result;
     const std::size_t n = tables_.size();
-    if (layout.order.size() != n || !layout.segments_valid(n)) return result;
-    if (!deps_.order_is_valid(layout.order)) return result;
+    if (layout.order.size() != n || !layout.segments_valid(n)) return {};
+    if (!deps_.order_is_valid(layout.order)) return {};
 
     for (const Segment& seg : layout.caches) {
-        if (!can_cache_segment(layout.order, seg)) return result;
+        if (!can_cache_segment(layout.order, seg)) return {};
     }
     for (const MergeSpec& m : layout.merges) {
-        if (!can_merge_segment(layout.order, m.seg, m.as_cache)) return result;
+        if (!can_merge_segment(layout.order, m.seg, m.as_cache)) return {};
     }
 
-    double survive = 1.0;
-    double latency = 0.0;
-    double extra_memory = 0.0;
-    double extra_updates = 0.0;
-
-    auto covered_infos = [this, &layout](const Segment& seg) {
-        std::vector<const Info*> infos;
-        for (std::size_t p = seg.first; p <= seg.last; ++p) {
-            infos.push_back(&info_[layout.order[p]]);
-        }
-        return infos;
-    };
-
-    // Expected cost of executing a run of tables back to back, with drop
-    // truncation inside the run; also the hit-path action replay cost and
-    // the combined drop probability.
-    struct RunEval {
-        double run_cost = 0.0;
-        double action_replay = 0.0;
-        double combined_drop = 0.0;
-    };
-    auto eval_run = [this](const std::vector<const Info*>& infos) {
-        RunEval r;
-        double s = 1.0;
-        for (const Info* in : infos) {
-            r.run_cost += s * node_cost(*in);
-            r.action_replay += s * in->action_cost;
-            s *= 1.0 - in->drop_prob;
-        }
-        r.combined_drop = 1.0 - s;
-        return r;
-    };
-
+    PrefixCost cost;
     std::size_t p = 0;
     while (p < n) {
         // Segment starting here?
@@ -217,87 +295,17 @@ EvalResult PipeletEvaluator::evaluate(const CandidateLayout& layout) const {
         }
 
         if (cache_seg != nullptr) {
-            auto infos = covered_infos(*cache_seg);
-            RunEval run = eval_run(infos);
-            double h = segment_hit_rate(infos);
-            double cost = params_.l_mat + instr_cost_ + h * run.action_replay +
-                          (1.0 - h) * run.run_cost;
-            latency += survive * cost;
-
-            // Reserved cache budget (fixed, LRU beyond): capacity × entry.
-            double key_bytes = 0.0;
-            for (const Info* in : infos) key_bytes += in->entry_bytes;
-            extra_memory +=
-                static_cast<double>(layout.cache_config.capacity) * key_bytes;
-            // Insertions happen on misses, capped by the rate limit; the
-            // miss traffic is the share that reaches this segment at all.
-            double miss_rate = (1.0 - h) * traffic_rate_ * survive;
-            extra_updates +=
-                std::min(layout.cache_config.max_insert_per_sec, miss_rate);
-            survive *= 1.0 - run.combined_drop;
+            cost = add_cache(cost, layout.order, *cache_seg, layout.cache_config);
             p = cache_seg->last + 1;
-            continue;
-        }
-
-        if (merge_spec != nullptr) {
-            auto infos = covered_infos(merge_spec->seg);
-            RunEval run = eval_run(infos);
-            double act_sum = 0.0;
-            double entry_bytes = 0.0;
-            std::vector<double> entry_counts, update_rates;
-            double removed_memory = 0.0, removed_updates = 0.0;
-            for (const Info* in : infos) {
-                act_sum += in->action_cost;
-                entry_bytes += in->entry_bytes;
-                entry_counts.push_back(in->entries);
-                update_rates.push_back(in->update_rate);
-                removed_memory += in->memory;
-                removed_updates += in->update_rate;
-            }
-            double merged_entries = estimated_merged_entries(entry_counts);
-            double merged_updates =
-                estimated_merged_update_rate(entry_counts, update_rates);
-
-            if (merge_spec->as_cache) {
-                // Exact merged cache; hit iff every component hits.
-                double h = 1.0;
-                for (const Info* in : infos) h *= 1.0 - in->miss_prob;
-                double cost = params_.l_mat + instr_cost_ + h * act_sum +
-                              (1.0 - h) * run.run_cost;
-                latency += survive * cost;
-                extra_memory += merged_entries * entry_bytes;  // originals stay
-                extra_updates += merged_updates;
-            } else {
-                // Full merge becomes a wider (usually ternary) table.
-                double m_product = 1.0;
-                for (const Info* in : infos) {
-                    m_product *= static_cast<double>(in->exact ? 2 : in->m + 1);
-                }
-                double m_ab =
-                    std::min(m_product, static_cast<double>(params_.max_m));
-                double cost =
-                    m_ab * params_.l_mat + instr_cost_ + act_sum;
-                latency += survive * cost;
-                extra_memory +=
-                    merged_entries * entry_bytes * m_ab - removed_memory;
-                extra_updates += merged_updates - removed_updates;
-            }
-            survive *= 1.0 - run.combined_drop;
+        } else if (merge_spec != nullptr) {
+            cost = add_merge(cost, layout.order, *merge_spec);
             p = merge_spec->seg.last + 1;
-            continue;
+        } else {
+            cost = add_plain(cost, layout.order, p);
+            ++p;
         }
-
-        const Info& in = info_[layout.order[p]];
-        latency += survive * node_cost(in);
-        survive *= 1.0 - in.drop_prob;
-        ++p;
     }
-
-    result.valid = true;
-    result.latency = latency;
-    result.extra_memory = std::max(0.0, extra_memory);
-    result.extra_updates = std::max(0.0, extra_updates);
-    return result;
+    return finish(cost);
 }
 
 }  // namespace pipeleon::opt

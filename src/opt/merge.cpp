@@ -57,29 +57,32 @@ std::string component_name(const Table& src, int action) {
 
 }  // namespace
 
-bool mergeable(const std::vector<const Table*>& sources, bool as_cache) {
-    if (sources.size() < 2) return false;
-    for (const Table* t : sources) {
-        if (t == nullptr) return false;
-        if (t->role != ir::TableRole::Original) return false;
-        for (const Action& a : t->actions) {
-            if (a.name.find(profile::kMergedActionSep) != std::string::npos) {
-                return false;
-            }
-        }
-        if (as_cache) {
-            for (const MatchKey& k : t->keys) {
-                if (k.kind != MatchKind::Exact) return false;
-            }
-        } else if (t->default_action >= 0) {
-            // Full-merge wildcard rows execute the default action with no
-            // entry to supply action data.
-            const Action& dflt =
-                t->actions[static_cast<std::size_t>(t->default_action)];
-            if (action_arg_count(dflt) > 0) return false;
+bool mergeable_table(const Table& table, bool as_cache) {
+    if (table.role != ir::TableRole::Original) return false;
+    for (const Action& a : table.actions) {
+        if (a.name.find(profile::kMergedActionSep) != std::string::npos) {
+            return false;
         }
     }
+    if (as_cache) {
+        for (const MatchKey& k : table.keys) {
+            if (k.kind != MatchKind::Exact) return false;
+        }
+    } else if (table.default_action >= 0) {
+        // Full-merge wildcard rows execute the default action with no entry
+        // to supply action data.
+        const Action& dflt =
+            table.actions[static_cast<std::size_t>(table.default_action)];
+        if (action_arg_count(dflt) > 0) return false;
+    }
     return true;
+}
+
+bool mergeable(const std::vector<const Table*>& sources, bool as_cache) {
+    if (sources.size() < 2) return false;
+    return std::all_of(sources.begin(), sources.end(), [as_cache](const Table* t) {
+        return t != nullptr && mergeable_table(*t, as_cache);
+    });
 }
 
 std::optional<Table> build_merged_table(const std::vector<const Table*>& sources,

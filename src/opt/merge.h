@@ -24,11 +24,15 @@ struct MergeLimits {
     std::size_t max_entries = 1u << 20;  ///< merged entry cross-product cap
 };
 
-/// True when the tables can legally be merged: pairwise independent
-/// (checked by the caller via analysis::independent), action names free of
-/// the '+' separator, and — for full merges — default actions without
-/// runtime arguments (a wildcard row cannot supply action data).
-/// `as_cache` additionally requires every source key to be exact.
+/// True when one table may be a component of a merge: Original role,
+/// action names free of the '+' separator, and — for full merges — a
+/// default action without runtime arguments (a wildcard row cannot supply
+/// action data). `as_cache` additionally requires every key to be exact.
+bool mergeable_table(const ir::Table& table, bool as_cache);
+
+/// True when the tables can legally be merged: at least two, each
+/// `mergeable_table`, and pairwise independent (checked by the caller via
+/// analysis::independent).
 bool mergeable(const std::vector<const ir::Table*>& sources, bool as_cache);
 
 /// Builds the merged table definition: concatenated keys (ternary for full

@@ -9,6 +9,7 @@ using opt::Candidate;
 using opt::CandidateLayout;
 using opt::MergeSpec;
 using opt::PipeletEvaluator;
+using opt::PrefixCost;
 using opt::Segment;
 
 std::vector<Candidate> enumerate_candidates(const PipeletEvaluator& evaluator,
@@ -41,11 +42,11 @@ std::vector<Candidate> enumerate_candidates(const PipeletEvaluator& evaluator,
     CandidateLayout layout;
     layout.cache_config = options.cache_config;
 
-    auto consider = [&]() {
-        if (out.size() >= options.max_candidates) return;
+    // A complete labeling: every run passed the evaluator's legality check,
+    // so this is a layout evaluate() accepts, and `cost` is its walk.
+    auto consider = [&](const PrefixCost& cost) {
         if (layout.is_identity()) return;
-        opt::EvalResult eval = evaluator.evaluate(layout);
-        if (!eval.valid) return;
+        opt::EvalResult eval = PipeletEvaluator::finish(cost);
         double latency_gain = baseline - eval.latency;
         if (latency_gain < options.min_latency_gain) return;
         Candidate c;
@@ -60,17 +61,23 @@ std::vector<Candidate> enumerate_candidates(const PipeletEvaluator& evaluator,
     // Recursive labeling of positions: start a cache run (longest first, so
     // high-coverage candidates are reached before any enumeration cap), a
     // merge run (both flavors), or leave the position plain. Runs are
-    // disjoint by construction.
-    std::function<void(std::size_t)> label = [&](std::size_t p) {
+    // disjoint by construction. A run the evaluator rejects is skipped, since
+    // evaluate() rejects every layout containing it. `cost` is the walk of
+    // the runs left of p, so each layout adds only its last run.
+    std::function<void(std::size_t, const PrefixCost&)> label;
+    label = [&](std::size_t p, const PrefixCost& cost) {
         if (out.size() >= options.max_candidates) return;
         if (p >= n) {
-            consider();
+            consider(cost);
             return;
         }
+        const std::vector<std::size_t>& order = layout.order;
         if (options.allow_cache) {
             for (std::size_t q = n; q-- > p;) {
-                layout.caches.push_back(Segment{p, q});
-                label(q + 1);
+                Segment seg{p, q};
+                if (!evaluator.can_cache_segment(order, seg)) continue;
+                layout.caches.push_back(seg);
+                label(q + 1, evaluator.add_cache(cost, order, seg, layout.cache_config));
                 layout.caches.pop_back();
             }
         }
@@ -78,19 +85,24 @@ std::vector<Candidate> enumerate_candidates(const PipeletEvaluator& evaluator,
             std::size_t max_q = std::min(n - 1, p + options.max_merge_len - 1);
             for (std::size_t q = p + 1; q <= max_q; ++q) {
                 for (bool as_cache : {false, true}) {
-                    layout.merges.push_back(MergeSpec{Segment{p, q}, as_cache});
-                    label(q + 1);
+                    MergeSpec merge{Segment{p, q}, as_cache};
+                    if (!evaluator.can_merge_segment(order, merge.seg, as_cache)) {
+                        continue;
+                    }
+                    layout.merges.push_back(merge);
+                    label(q + 1, evaluator.add_merge(cost, order, merge));
                     layout.merges.pop_back();
                 }
             }
         }
         // Position stays plain.
-        label(p + 1);
+        label(p + 1, evaluator.add_plain(cost, order, p));
     };
 
     for (const auto& order : orders) {
+        if (!evaluator.deps().order_is_valid(order)) continue;
         layout.order = order;
-        label(0);
+        label(0, PrefixCost{});
         if (out.size() >= options.max_candidates) break;
     }
 

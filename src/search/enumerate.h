@@ -5,6 +5,12 @@
 // [T_A], [T_B], [T_A][T_B], [T_A,T_B], one merging candidate [T_A,T_B], and
 // the dependency-respecting orders; merging and caching never apply to the
 // same table. Every valid combination is evaluated with the cost model.
+//
+// The enumeration checks each order once, skips any cache or merge run the
+// evaluator's dependency-matrix legality rejects, and carries the running
+// cost of the runs placed so far down the labeling recursion, so a layout
+// costs only its last run. The result equals labeling every layout and
+// keeping what PipeletEvaluator::evaluate accepts, bit for bit.
 #pragma once
 
 #include <vector>

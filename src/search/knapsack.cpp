@@ -60,12 +60,10 @@ GlobalPlan global_optimize(const std::vector<std::vector<Candidate>>& groups,
     };
 
     const std::size_t cells_total = (mg + 1) * (eg + 1);
-    const double kNegInf = -std::numeric_limits<double>::infinity();
     std::vector<double> dp(cells_total, 0.0);
     // choice[g][m*(eg+1)+e] = candidate picked for group g at that budget.
     std::vector<std::vector<int>> choice(groups.size(),
                                          std::vector<int>(cells_total, -1));
-    (void)kNegInf;
 
     auto at = [eg](std::size_t m, std::size_t e) { return m * (eg + 1) + e; };
 

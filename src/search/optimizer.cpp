@@ -34,8 +34,6 @@ OptimizationOutcome Optimizer::optimize(
             return model_.pipelet_latency(original, p, profile);
         });
 
-    std::vector<double> reach = profile.reach_probabilities(original);
-
     // Local search per hot pipelet.
     std::vector<std::vector<opt::Candidate>> groups;
     groups.reserve(out.hot_pipelets.size());

@@ -59,7 +59,8 @@ void clamp_capacities(ir::Program& program, std::size_t grant, bool caches) {
     }
     if (n == 0) return;
     std::size_t per = std::max<std::size_t>(1, grant / n);
-    for (ir::NodeId id = 0; id < program.node_count(); ++id) {
+    for (ir::NodeId id = 0; static_cast<std::size_t>(id) < program.node_count();
+         ++id) {
         ir::Node& node = program.node(id);
         if (!node.is_table() || is_cache_table(node.table) != caches) continue;
         if (caches) {
@@ -82,7 +83,8 @@ void clamp_tier_capacities(ir::Program& program, std::size_t dram_grant,
         if (node.is_table() && is_cache_table(node.table)) ++n;
     }
     if (n == 0) return;
-    for (ir::NodeId id = 0; id < program.node_count(); ++id) {
+    for (ir::NodeId id = 0; static_cast<std::size_t>(id) < program.node_count();
+         ++id) {
         ir::Node& node = program.node(id);
         if (!node.is_table() || !is_cache_table(node.table)) continue;
         ir::TierConfig& tiers = node.table.cache.tiers;

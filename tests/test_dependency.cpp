@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "analysis/dependency.h"
+#include "analysis/pipelet.h"
+#include "dependent_programs.h"
 #include "ir/builder.h"
 
 namespace pipeleon::analysis {
@@ -38,9 +41,11 @@ Table field_reader(const std::string& name, const std::string& key_field,
 TEST(Dependency, FieldSets) {
     Table t = writer("w", "k", "out");
     FieldSets fs = field_sets(t);
+    EXPECT_TRUE(fs.keys.count("k"));
     EXPECT_TRUE(fs.reads.count("k"));
     EXPECT_TRUE(fs.writes.count("out"));
     EXPECT_FALSE(fs.writes.count("k"));
+    EXPECT_FALSE(fs.keys.count("out"));
 }
 
 TEST(Dependency, MatchDependency) {
@@ -158,6 +163,34 @@ TEST(DependencyGraph, ValidOrdersRespectDependenciesProperty) {
         };
         EXPECT_LT(pos(0), pos(1));  // a before b
         EXPECT_LT(pos(2), pos(3));  // c before d
+    }
+}
+
+TEST(DependencyGraph, KindMatrixMatchesPairwiseClassification) {
+    std::map<DependencyKind, int> seen;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        ir::Program program = test_support::dependent_program(seed, 6, 6);
+        for (const Pipelet& pl : form_pipelets(program)) {
+            std::vector<Table> ts;
+            for (ir::NodeId id : pl.nodes) ts.push_back(program.node(id).table);
+            DependencyGraph g(ts);
+            for (std::size_t i = 0; i < ts.size(); ++i) {
+                EXPECT_EQ(g.kind(i, i), DependencyKind::None);
+                EXPECT_FALSE(g.dependent(i, i));
+                for (std::size_t j = 0; j < ts.size(); ++j) {
+                    if (i == j) continue;
+                    DependencyKind expected = classify_dependency(ts[i], ts[j]);
+                    EXPECT_EQ(g.kind(i, j), expected) << "seed " << seed;
+                    EXPECT_EQ(g.dependent(i, j), !independent(ts[i], ts[j]));
+                    ++seen[expected];
+                }
+            }
+        }
+    }
+    // The programs exercise every kind.
+    for (DependencyKind k : {DependencyKind::None, DependencyKind::Match,
+                             DependencyKind::Action, DependencyKind::Write}) {
+        EXPECT_GT(seen[k], 0) << to_string(k);
     }
 }
 

@@ -5,10 +5,16 @@
 // cost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/pipelet.h"
 #include "cost/model.h"
+#include "dependent_programs.h"
 #include "ir/builder.h"
+#include "opt/cache.h"
 #include "opt/estimate.h"
+#include "opt/merge.h"
+#include "synth/profile_synth.h"
 
 namespace pipeleon::opt {
 namespace {
@@ -261,6 +267,63 @@ TEST(Estimate, TrafficRateFromWindow) {
     cost::CostModel model(params(), no_instr());
     PipeletEvaluator ev(s.program, s.pipelet, s.profile, model);
     EXPECT_DOUBLE_EQ(ev.traffic_rate(), 500.0);  // 1000 lookups / 2 s
+}
+
+TEST(Estimate, MatrixLegalityMatchesApplyTimeChecks) {
+    // The evaluator answers run legality from its dependency matrix and
+    // per-table flags; opt::cacheable and opt::mergeable (plus pairwise
+    // independence) are the apply-time rules it must agree with.
+    cost::CostModel model(params(), no_instr());
+    int verdicts[2][2] = {};  // [cache/merge][rejected/accepted]
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Program program = test_support::dependent_program(seed, 6, 5);
+        profile::RuntimeProfile prof =
+            synth::ProfileSynthesizer(synth::heavy_drop_config(), seed)
+                .generate(program);
+        util::Rng rng(seed);
+        for (const analysis::Pipelet& pl : analysis::form_pipelets(program)) {
+            if (pl.is_switch_case) continue;
+            PipeletEvaluator ev(program, pl, prof, model);
+            const std::size_t n = ev.size();
+            auto orders = ev.deps().valid_orders(64);
+            rng.shuffle(orders);
+            orders.resize(std::min<std::size_t>(orders.size(), 4));
+            for (const auto& order : orders) {
+                for (std::size_t a = 0; a < n; ++a) {
+                    for (std::size_t b = a; b < n; ++b) {
+                        std::vector<const ir::Table*> covered;
+                        for (std::size_t p = a; p <= b; ++p) {
+                            covered.push_back(&ev.table(order[p]));
+                        }
+                        bool independent = true;
+                        for (std::size_t x = 0; x < covered.size(); ++x) {
+                            for (std::size_t y = x + 1; y < covered.size(); ++y) {
+                                if (!analysis::independent(*covered[x], *covered[y])) {
+                                    independent = false;
+                                }
+                            }
+                        }
+                        Segment seg{a, b};
+                        bool cache = cacheable(covered);
+                        EXPECT_EQ(ev.can_cache_segment(order, seg), cache)
+                            << "seed " << seed << " run " << a << "-" << b;
+                        ++verdicts[0][cache];
+                        for (bool as_cache : {false, true}) {
+                            bool merge = mergeable(covered, as_cache) && independent;
+                            EXPECT_EQ(ev.can_merge_segment(order, seg, as_cache), merge)
+                                << "seed " << seed << " run " << a << "-" << b;
+                            ++verdicts[1][merge];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Both answers occur for both techniques.
+    EXPECT_GT(verdicts[0][0], 0);
+    EXPECT_GT(verdicts[0][1], 0);
+    EXPECT_GT(verdicts[1][0], 0);
+    EXPECT_GT(verdicts[1][1], 0);
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <numeric>
 #include <set>
 
 #include "analysis/pipelet.h"
+#include "dependent_programs.h"
 #include "ir/builder.h"
 #include "search/optimizer.h"
+#include "synth/profile_synth.h"
 
 namespace pipeleon::search {
 namespace {
@@ -131,6 +136,135 @@ TEST(Enumerate, CandidateCapRespected) {
     opts.max_candidates = 10;
     opts.min_latency_gain = -1e18;
     EXPECT_LE(enumerate_candidates(ev, 0, 1.0, opts).size(), 10u);
+}
+
+/// The exhaustive search enumerate_candidates must reproduce: label every
+/// layout of every order, evaluate() each one, keep what it accepts.
+std::vector<opt::Candidate> evaluate_every_layout(const opt::PipeletEvaluator& ev,
+                                                  int pipelet_id, double reach,
+                                                  const SearchOptions& options) {
+    std::vector<opt::Candidate> out;
+    const std::size_t n = ev.size();
+    std::vector<std::vector<std::size_t>> orders;
+    std::vector<std::size_t> identity(n);
+    std::iota(identity.begin(), identity.end(), std::size_t{0});
+    orders.push_back(identity);
+    if (options.allow_reorder) {
+        std::vector<std::size_t> greedy = ev.greedy_drop_order();
+        if (greedy != identity) orders.push_back(greedy);
+        for (auto& order : ev.deps().valid_orders(options.max_orders)) {
+            if (std::find(orders.begin(), orders.end(), order) == orders.end()) {
+                orders.push_back(std::move(order));
+            }
+        }
+    }
+
+    opt::CandidateLayout layout;
+    layout.cache_config = options.cache_config;
+    std::function<void(std::size_t)> label = [&](std::size_t p) {
+        if (out.size() >= options.max_candidates) return;
+        if (p >= n) {
+            if (layout.is_identity()) return;
+            opt::EvalResult eval = ev.evaluate(layout);
+            double latency_gain = ev.baseline_latency() - eval.latency;
+            if (!eval.valid || latency_gain < options.min_latency_gain) return;
+            out.push_back(opt::Candidate{pipelet_id, layout, latency_gain * reach,
+                                         eval.extra_memory, eval.extra_updates});
+            return;
+        }
+        if (options.allow_cache) {
+            for (std::size_t q = n; q-- > p;) {
+                layout.caches.push_back(opt::Segment{p, q});
+                label(q + 1);
+                layout.caches.pop_back();
+            }
+        }
+        if (options.allow_merge && options.max_merge_len >= 2) {
+            for (std::size_t q = p + 1;
+                 q <= std::min(n - 1, p + options.max_merge_len - 1); ++q) {
+                for (bool as_cache : {false, true}) {
+                    layout.merges.push_back(opt::MergeSpec{opt::Segment{p, q}, as_cache});
+                    label(q + 1);
+                    layout.merges.pop_back();
+                }
+            }
+        }
+        label(p + 1);
+    };
+    for (const auto& order : orders) {
+        layout.order = order;
+        label(0);
+        if (out.size() >= options.max_candidates) break;
+    }
+    std::sort(out.begin(), out.end(), [](const opt::Candidate& a, const opt::Candidate& b) {
+        return a.gain > b.gain;
+    });
+    return out;
+}
+
+::testing::AssertionResult same_candidates(const std::vector<opt::Candidate>& got,
+                                           const std::vector<opt::Candidate>& want) {
+    if (got.size() != want.size()) {
+        return ::testing::AssertionFailure()
+               << got.size() << " candidates, expected " << want.size();
+    }
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const opt::Candidate& g = got[i];
+        const opt::Candidate& w = want[i];
+        if (g.layout.to_string() != w.layout.to_string() ||
+            g.pipelet_id != w.pipelet_id || bits(g.gain) != bits(w.gain) ||
+            bits(g.memory_cost) != bits(w.memory_cost) ||
+            bits(g.update_cost) != bits(w.update_cost)) {
+            return ::testing::AssertionFailure()
+                   << "candidate " << i << ": " << g.layout.to_string() << " gain "
+                   << g.gain << ", expected " << w.layout.to_string() << " gain "
+                   << w.gain;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Enumerate, MatchesEvaluatingEveryLayout) {
+    // Default cost parameters with instrumentation on, as the controller runs.
+    cost::CostModel m(cost::CostParams{}, profile::InstrumentationConfig{});
+    const synth::ProfileSynthConfig presets[] = {synth::heavy_drop_config(),
+                                                 synth::small_static_config(),
+                                                 synth::high_locality_config()};
+    std::size_t searches = 0, capped = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Program program = test_support::dependent_program(seed, 5, 5);
+        profile::RuntimeProfile prof =
+            synth::ProfileSynthesizer(presets[seed % 3], seed).generate(program);
+        for (const analysis::Pipelet& pl : analysis::form_pipelets(program)) {
+            if (pl.is_switch_case) continue;
+            opt::PipeletEvaluator ev(program, pl, prof, m);
+            for (bool merge : {false, true}) {
+                for (std::size_t merge_len : {2u, 3u}) {
+                    for (std::size_t cap : {25u, 100000u}) {
+                        SearchOptions opts;
+                        opts.allow_merge = merge;
+                        opts.max_merge_len = merge_len;
+                        opts.max_orders = 6;
+                        opts.max_candidates = cap;
+                        // Keep losing layouts too when uncapped: every bit
+                        // of every valid layout is compared.
+                        if (cap > 25) opts.min_latency_gain = -1e18;
+                        auto got = enumerate_candidates(ev, pl.id, 0.5, opts);
+                        auto want = evaluate_every_layout(ev, pl.id, 0.5, opts);
+                        EXPECT_TRUE(same_candidates(got, want))
+                            << "seed " << seed << " pipelet " << pl.id
+                            << " merge " << merge << " len " << merge_len
+                            << " cap " << cap;
+                        ++searches;
+                        if (got.size() == cap) ++capped;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(searches, 100u);
+    EXPECT_GT(capped, 10u);  // the cap truncates some searches
 }
 
 TEST(Optimizer, CachesTernaryChain) {
