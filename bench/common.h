@@ -51,17 +51,15 @@ struct WindowResult {
 };
 
 /// The ring-front-end pump (ISSUE 6): owns an RSS dispatcher built from the
-/// emulator and replays bursts through dispatch -> poll. This is the thin
-/// compatibility shim the figure benches migrate through — the old direct
-/// `Workload::next_batch -> Emulator::process_batch` handoff is retired
-/// from the bench layer (the micro benches that measure the batch engine
-/// itself, micro_batch/micro_benchmarks, deliberately keep calling
-/// process_batch: they benchmark the engine, not the I/O path).
+/// emulator and replays bursts through dispatch -> poll, the emulator's only
+/// batch ingress. Build it after setting the worker count: the dispatcher
+/// gets one queue per worker.
 ///
 /// Rings are sized to twice the largest expected burst, so the closed-loop
-/// pump never overflow-drops and per-packet execution — and therefore every
-/// emulated-cycle number a bench prints — is unchanged from the pre-ring
-/// path on the default single-worker emulator.
+/// pump never overflow-drops and one poll completes each burst. On the
+/// default single-worker emulator every packet runs exactly as in a
+/// process() loop, so the emulated-cycle numbers the benches print are the
+/// scalar oracle's.
 class RingPump {
 public:
     explicit RingPump(sim::Emulator& emulator, std::size_t max_burst = 1024)
@@ -91,7 +89,7 @@ private:
 /// generated and dispatched `batch_size` at a time, each burst is polled to
 /// completion, and the clock advances per burst. With the emulator's
 /// default single worker (or deterministic mode) the packet-level execution
-/// is identical to the old direct process_batch loop.
+/// is identical to a process() loop.
 inline WindowResult run_window(sim::Emulator& emulator,
                                trafficgen::Workload& workload, int packets,
                                double window_seconds,

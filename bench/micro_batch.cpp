@@ -1,10 +1,10 @@
 // bench/micro_batch.cpp — the batched data plane's hot-path economics
-// (ISSUE 5): a worker sweep with and without CPU pinning, plus the two
-// per-packet costs the topology-aware refactor targets, reported as
-// first-class metrics:
-//   steer_plan_ns_per_packet — building the counting-sort steering plan
+// (host topology): a dispatch -> poll worker sweep with and without pinning,
+// plus the two per-packet costs the topology-aware refactor targets,
+// reported as first-class metrics:
+//   steer_plan_ns_per_packet — one steering decision (RSS hash + RETA)
 //   cache_probe_ns           — one flat-LRU probe on a warm flow cache
-//   allocs_per_batch         — heap allocations per steady-state batch
+//   allocs_per_batch         — heap allocations per steady-state burst
 //                              (counted by this binary's operator new hook;
 //                              the acceptance target is exactly 0)
 // Flags: --pin / --no-pin restrict the sweep to one pinning mode (default
@@ -115,10 +115,9 @@ struct SweepPoint {
     double latency_p99 = 0.0;
 };
 
-/// Measures steady-state batch throughput for one (workers, pin) config.
-/// The same pristine batch replays every iteration — copy-assignment
-/// restores packets without allocating — so the loop isolates the
-/// steer/dispatch/process path from workload generation.
+/// Measures steady-state dispatch -> poll throughput for one (workers, pin)
+/// config. The same pristine burst replays every iteration, so the loop
+/// isolates the steer/dispatch/process path from workload generation.
 SweepPoint run_config(const ir::Program& prog,
                       const trafficgen::FlowSet& flows, int workers,
                       bool pin, int batches) {
@@ -129,20 +128,17 @@ SweepPoint run_config(const ir::Program& prog,
     trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 31);
 
     const sim::PacketBatch pristine = wl.next_batch(emu.fields(), kBatch);
-    sim::PacketBatch work = pristine;
-    sim::BatchResult out;
-    for (int i = 0; i < 8; ++i) {  // warm: buffers to high-water, caches hot
-        work = pristine;
-        emu.process_batch(work, out);
-    }
+    bench::RingPump pump(emu, kBatch);
+    // Warm: caches hot, and every RX slot of every queue cycled once so its
+    // inline Packet has reached the workload's width (2*kBatch slots per
+    // queue at ~kBatch/workers packets per round: 16 rounds for 8 workers).
+    for (int i = 0; i < 40; ++i) pump.pump(pristine);
 
     g_alloc_count.store(0);
     g_counting.store(true);
     Clock::time_point t0 = Clock::now();
-    for (int i = 0; i < batches; ++i) {
-        work = pristine;
-        emu.process_batch(work, out);
-    }
+    const sim::BatchResult* out = nullptr;
+    for (int i = 0; i < batches; ++i) out = &pump.pump(pristine);
     Clock::time_point t1 = Clock::now();
     g_counting.store(false);
 
@@ -154,9 +150,9 @@ SweepPoint run_config(const ir::Program& prog,
     p.pin = pin;
     p.mpps = packets / secs / 1e6;
     double cycles = 0.0;
-    for (const sim::ProcessResult& r : out.results) cycles += r.cycles;
+    for (const sim::ProcessResult& r : out->results) cycles += r.cycles;
     p.gbps = emu.throughput_gbps(cycles /
-                                 static_cast<double>(out.results.size()));
+                                 static_cast<double>(out->results.size()));
     p.allocs_per_batch = static_cast<double>(g_alloc_count.load()) /
                          static_cast<double>(batches);
     p.pinned = emu.pinned_workers();
@@ -168,8 +164,8 @@ SweepPoint run_config(const ir::Program& prog,
     return p;
 }
 
-/// ns/packet to build the steering decision — steer_worker() is exactly the
-/// per-packet work of build_steer_plan's first pass (hash + map to lane).
+/// ns/packet to make the steering decision — steer_worker() is the RSS hash
+/// plus RETA lookup the dispatcher makes for every arrival.
 double measure_steer_ns(const ir::Program& prog,
                         const trafficgen::FlowSet& flows, int rounds) {
     sim::Emulator emu(sim::bluefield2_model(), prog, {});

@@ -71,7 +71,7 @@ void BM_EmulatorProcess(benchmark::State& state) {
     util::Rng rng(1);
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < state.range(0); ++i) {
-        tuple.push_back({"f" + std::to_string(i), 0, 255});
+        tuple.push_back({util::format("f%d", i), 0, 255});
     }
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 128, rng);
     apps::install_flow_entries(emu, flows);
@@ -83,10 +83,10 @@ void BM_EmulatorProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatorProcess)->Arg(4)->Arg(12)->Arg(24);
 
-// micro_batch — the batched data plane with a worker sweep. Compare
-// items_per_second against BM_EmulatorProcess (the scalar loop) and across
-// worker counts; the speedup is wall-clock, so UseRealTime() is required
-// (the workers' cycles do not land on the main thread's CPU clock).
+// micro_batch — bursts through dispatch -> poll with a worker sweep.
+// Compare items_per_second against BM_EmulatorProcess (the scalar loop) and
+// across worker counts; the speedup is wall-clock, so UseRealTime() is
+// required (the workers' cycles do not land on the main thread's CPU clock).
 void BM_EmulatorProcessBatch(benchmark::State& state) {
     ir::Program prog = ir::chain_of_exact_tables("bench", 12, 2, 1);
     sim::Emulator emu(sim::bluefield2_model(), prog, {});
@@ -94,17 +94,18 @@ void BM_EmulatorProcessBatch(benchmark::State& state) {
     util::Rng rng(1);
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < 12; ++i) {
-        tuple.push_back({"f" + std::to_string(i), 0, 255});
+        tuple.push_back({util::format("f%d", i), 0, 255});
     }
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 128, rng);
     apps::install_flow_entries(emu, flows);
     trafficgen::Workload wl(flows, trafficgen::Locality::Uniform, 0.0, 2);
     constexpr std::size_t kBatch = 512;
+    bench::RingPump pump(emu, kBatch);
     for (auto _ : state) {
         state.PauseTiming();
         sim::PacketBatch batch = wl.next_batch(emu.fields(), kBatch);
         state.ResumeTiming();
-        benchmark::DoNotOptimize(emu.process_batch(batch));
+        benchmark::DoNotOptimize(pump.pump(batch));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(kBatch));

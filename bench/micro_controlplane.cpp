@@ -123,9 +123,9 @@ int main() {
     // thread's inserts enqueue and return without waiting for the batch.
     std::atomic<bool> stop{false};
     std::thread data([&] {
+        bench::RingPump pump(emu, 4096);
         while (!stop.load(std::memory_order_relaxed)) {
-            sim::PacketBatch batch = wl.next_batch(emu.fields(), 4096);
-            emu.process_batch(batch);
+            pump.pump(wl.next_batch(emu.fields(), 4096));
         }
     });
     // Let the data plane spin up before measuring.

@@ -2,8 +2,8 @@
 // (ISSUE 10): scalar lookup() vs the group-of-8 hash->prefetch->probe
 // pipeline (lookup_group) on a warm flat-LRU CacheStore sized well past L2,
 // at 1/8/64-key group sizes and across a hit-rate sweep, plus the raw hash
-// kernel throughput per SIMD tier and an end-to-end emulator comparison
-// with the pipeline on vs off. Headline metrics:
+// kernel throughput per SIMD tier and the end-to-end emulator rate with the
+// pipeline running in its poll lanes. Headline metrics:
 //   probe_ns_per_key        — batched group-8 probe, 100% hit (lower better)
 //   probe_ns_per_key_scalar — the sequential lookup() baseline
 //   probe_speedup           — scalar / batched (acceptance floor: 1.3x)
@@ -243,7 +243,8 @@ double measure_hash_ns(ProbeSet& ps, int rounds, sim::SimdTier tier) {
 }
 
 /// The chain program with a flow cache over its first half — the cache node
-/// becomes the program root, so the emulator's batched pipeline engages.
+/// becomes the program root, so the emulator's poll lanes run the group-of-8
+/// probe pipeline.
 ir::Program cached_chain() {
     ir::Program prog = ir::chain_of_exact_tables("p", kChainLen, 2, 1);
     analysis::PipeletOptions popt;
@@ -260,29 +261,20 @@ ir::Program cached_chain() {
     return opt::apply_plans(prog, pipelets, {plan});
 }
 
-/// End-to-end Mpps through process_batch with the match pipeline on or off.
+/// End-to-end Mpps through dispatch -> poll on 4 workers.
 double measure_emulator_mpps(const ir::Program& prog,
-                             const trafficgen::FlowSet& flows, bool pipeline,
-                             int batches) {
+                             const trafficgen::FlowSet& flows, int batches) {
     constexpr std::size_t kBatch = 256;
     sim::Emulator emu(sim::bluefield2_model(), prog, {});
     emu.set_worker_count(4);
-    emu.set_match_pipeline(pipeline);
     apps::install_flow_entries(emu, flows);
     trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 31);
 
     const sim::PacketBatch pristine = wl.next_batch(emu.fields(), kBatch);
-    sim::PacketBatch work = pristine;
-    sim::BatchResult out;
-    for (int i = 0; i < 8; ++i) {  // warm: buffers to high-water, cache hot
-        work = pristine;
-        emu.process_batch(work, out);
-    }
+    bench::RingPump pump(emu, kBatch);
+    for (int i = 0; i < 8; ++i) pump.pump(pristine);  // warm: cache hot
     Clock::time_point t0 = Clock::now();
-    for (int i = 0; i < batches; ++i) {
-        work = pristine;
-        emu.process_batch(work, out);
-    }
+    for (int i = 0; i < batches; ++i) pump.pump(pristine);
     Clock::time_point t1 = Clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     return static_cast<double>(batches) * static_cast<double>(kBatch) /
@@ -363,7 +355,7 @@ int main() {
         rep.metric(name, b);
     }
 
-    bench::section("emulator end-to-end (match pipeline on vs off)");
+    bench::section("emulator end-to-end (dispatch -> poll, 4 workers)");
     ir::Program prog = cached_chain();
     util::Rng rng(29);
     std::vector<trafficgen::FieldRange> tuple;
@@ -377,14 +369,9 @@ int main() {
     }
     trafficgen::FlowSet flows =
         trafficgen::FlowSet::generate(tuple, kFlows, rng);
-    const double mpps_off = measure_emulator_mpps(prog, flows, false,
-                                                  kBatches);
-    const double mpps_on = measure_emulator_mpps(prog, flows, true,
-                                                 kBatches);
-    std::printf("pipeline off: %.3f Mpps   on: %.3f Mpps   (%.2fx)\n",
-                mpps_off, mpps_on, mpps_on / mpps_off);
-    rep.metric("emu_mpps_pipeline_on", mpps_on);
-    rep.metric("emu_mpps_pipeline_off", mpps_off);
+    const double mpps = measure_emulator_mpps(prog, flows, kBatches);
+    std::printf("%.3f Mpps\n", mpps);
+    rep.metric("emu_mpps_pipeline_on", mpps);
 
     const double allocs_per_batch =
         static_cast<double>(steady_allocs) /

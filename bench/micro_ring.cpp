@@ -3,8 +3,6 @@
 //   ring_push_pop_ns   — one raw SPSC push+pop through a DescriptorRing
 //   dispatch_ns        — RSS hash + descriptor write per dispatched packet
 //   ring_mpps          — wall-clock throughput of the dispatch -> poll loop
-//   batch_mpps         — the same workload through bare process_batch
-//   ring_overhead_pct  — (batch - ring) / batch wall-clock cost of the ring
 //   allocs_per_poll    — heap allocations per steady-state offer/poll round
 //                        (counted by this binary's operator new hook; the
 //                        acceptance target is exactly 0)
@@ -146,41 +144,22 @@ struct LoopResult {
     double allocs_per_round = 0.0;
 };
 
-/// Wall-clock throughput of the full ring loop (dispatch -> poll) or the
-/// bare batch engine on the identical pristine burst.
+/// Wall-clock throughput of the full ring loop (dispatch -> poll) on one
+/// pristine burst replayed every round.
 LoopResult run_loop(sim::Emulator& emu, const sim::PacketBatch& pristine,
-                    bool use_rings, int rounds) {
-    sim::RingConfig cfg;
-    cfg.rx_capacity = 2 * kBurst;
-    sim::RssDispatcher io = emu.make_rings(cfg);
-    sim::PacketBatch work = pristine;
-    sim::BatchResult out;
+                    int rounds) {
+    bench::RingPump pump(emu, kBurst);
     // Warm-up must cycle every RX slot of every queue at least once so each
     // slot's inline Packet reaches the workload's field capacity — a burst
     // spreads ~kBurst/queues packets per queue, so covering the 2*kBurst
     // slots per queue needs ~2*queues rounds; 40 is ample for 8 queues.
-    for (int i = 0; i < 40; ++i) {
-        if (use_rings) {
-            io.dispatch_batch(pristine, emu.now_seconds());
-            emu.poll(io, out);
-        } else {
-            work = pristine;
-            emu.process_batch(work, out);
-        }
-    }
+    for (int i = 0; i < 40; ++i) pump.pump(pristine);
 
     g_alloc_count.store(0);
     g_counting.store(true);
     Clock::time_point t0 = Clock::now();
-    for (int i = 0; i < rounds; ++i) {
-        if (use_rings) {
-            io.dispatch_batch(pristine, emu.now_seconds());
-            emu.poll(io, out);
-        } else {
-            work = pristine;
-            emu.process_batch(work, out);
-        }
-    }
+    const sim::BatchResult* out = nullptr;
+    for (int i = 0; i < rounds; ++i) out = &pump.pump(pristine);
     Clock::time_point t1 = Clock::now();
     g_counting.store(false);
 
@@ -189,9 +168,9 @@ LoopResult run_loop(sim::Emulator& emu, const sim::PacketBatch& pristine,
     res.mpps = static_cast<double>(rounds) *
                static_cast<double>(pristine.size()) / secs / 1e6;
     double cycles = 0.0;
-    for (const sim::ProcessResult& r : out.results) cycles += r.cycles;
+    for (const sim::ProcessResult& r : out->results) cycles += r.cycles;
     res.gbps = emu.throughput_gbps(cycles /
-                                   static_cast<double>(out.results.size()));
+                                   static_cast<double>(out->results.size()));
     res.allocs_per_round = static_cast<double>(g_alloc_count.load()) /
                            static_cast<double>(rounds);
     const telemetry::LatencyHistogram hist = emu.latency_histogram();
@@ -231,7 +210,7 @@ int main() {
     std::printf("RSS dispatch        : %8.2f ns/packet\n", dispatch_ns);
     rep.metric("dispatch_ns", dispatch_ns);
 
-    bench::section("ring loop vs bare batch engine (4 workers)");
+    bench::section("ring loop (4 workers)");
     sim::Emulator ring_emu(sim::bluefield2_model(), prog, {});
     ring_emu.set_worker_count(4);
     apps::install_flow_entries(ring_emu, flows);
@@ -239,26 +218,12 @@ int main() {
     const sim::PacketBatch pristine =
         ring_wl.next_batch(ring_emu.fields(), kBurst);
 
-    const LoopResult ring = run_loop(ring_emu, pristine, true, kRounds);
-    sim::Emulator batch_emu(sim::bluefield2_model(), prog, {});
-    batch_emu.set_worker_count(4);
-    apps::install_flow_entries(batch_emu, flows);
-    const LoopResult batch = run_loop(batch_emu, pristine, false, kRounds);
-
-    const double overhead_pct =
-        batch.mpps > 0.0 ? (batch.mpps - ring.mpps) / batch.mpps * 100.0 : 0.0;
-    std::printf("%12s %10s %10s %14s\n", "path", "Mpps", "Gbps",
-                "allocs/round");
-    std::printf("%12s %10.3f %10.3f %14.2f\n", "ring", ring.mpps, ring.gbps,
+    const LoopResult ring = run_loop(ring_emu, pristine, kRounds);
+    std::printf("%10s %10s %14s\n", "Mpps", "Gbps", "allocs/round");
+    std::printf("%10.3f %10.3f %14.2f\n", ring.mpps, ring.gbps,
                 ring.allocs_per_round);
-    std::printf("%12s %10.3f %10.3f %14.2f\n", "batch", batch.mpps,
-                batch.gbps, batch.allocs_per_round);
-    std::printf("ring overhead: %.1f%% of batch wall-clock throughput\n",
-                overhead_pct);
 
     rep.metric("ring_mpps", ring.mpps);
-    rep.metric("batch_mpps", batch.mpps);
-    rep.metric("ring_overhead_pct", overhead_pct);
     rep.metric("allocs_per_poll", ring.allocs_per_round);
     rep.metric("throughput_mpps", ring.mpps);
     rep.metric("throughput_gbps", ring.gbps);

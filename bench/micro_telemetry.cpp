@@ -114,7 +114,7 @@ int main() {
     util::Rng rng(29);
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < kChainLen; ++i) {
-        tuple.push_back({"f" + std::to_string(i), 0, 255});
+        tuple.push_back({util::format("f%d", i), 0, 255});
     }
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 256, rng);
     apps::install_flow_entries(emu, flows);
@@ -122,16 +122,13 @@ int main() {
 
     const int kPackets = bench::BenchEnv::quick() ? 40000 : 400000;
     constexpr std::size_t kBatch = 1024;
+    bench::RingPump pump(emu, kBatch);
     // Warm up caches and worker threads before timing.
-    for (int i = 0; i < 4; ++i) {
-        sim::PacketBatch batch = wl.next_batch(emu.fields(), kBatch);
-        emu.process_batch(batch);
-    }
+    for (int i = 0; i < 4; ++i) pump.pump(wl.next_batch(emu.fields(), kBatch));
     Clock::time_point t0 = Clock::now();
     int done = 0;
     while (done < kPackets) {
-        sim::PacketBatch batch = wl.next_batch(emu.fields(), kBatch);
-        emu.process_batch(batch);
+        pump.pump(wl.next_batch(emu.fields(), kBatch));
         done += static_cast<int>(kBatch);
     }
     Clock::time_point t1 = Clock::now();

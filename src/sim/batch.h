@@ -1,8 +1,10 @@
 // sim/batch.h — batched data-plane types. Real SmartNIC datapaths never
 // process one packet per call: NIC drivers hand the cores descriptor rings,
-// and an RSS hash spreads flows across cores. PacketBatch is the emulator's
-// descriptor ring (a contiguous run of parsed packets) and BatchResult the
-// per-packet completion records plus the aggregate the benches consume.
+// and an RSS hash spreads flows across cores. The rings are the emulator's
+// only batch ingress (sim/rss.h): PacketBatch is a burst of parsed packets
+// a producer dispatches into them, and BatchResult the per-packet
+// completions one Emulator::poll reaps plus the aggregate the benches
+// consume.
 #pragma once
 
 #include <cstdint>
@@ -18,18 +20,16 @@ struct ProcessResult {
     bool dropped = false;
     int migrations = 0;
     int nodes_visited = 0;
-    /// Ring path only (Emulator::poll): cycles the packet waited in its RX
-    /// ring before a worker picked it up, from the descriptor's enqueue
-    /// timestamp. 0 on the direct process/process_batch paths and for
+    /// Cycles the packet waited in its RX ring before a worker picked it
+    /// up, from the descriptor's enqueue timestamp. 0 from process() and for
     /// descriptors dispatched without a timestamp. Kept out of `cycles` (and
-    /// the latency counters) so service latency stays comparable across
-    /// paths; closed-loop benches add the two for sojourn time.
+    /// the latency counters) so service latency matches process(); closed-
+    /// loop benches add the two for sojourn time.
     double queue_cycles = 0.0;
 };
 
-/// A contiguous run of packets handed to the emulator in one call. Packets
-/// are mutated in place (like Emulator::process does for a single packet);
-/// results come back in input order regardless of worker interleaving.
+/// A burst of packets for RssDispatcher::dispatch_batch, which copies each
+/// into its queue's RX ring.
 struct PacketBatch {
     std::vector<Packet> packets;
 
@@ -51,7 +51,8 @@ struct PacketBatch {
     auto end() const { return packets.end(); }
 };
 
-/// Per-packet results (input order) plus batch aggregates.
+/// Per-packet completions of one poll (queue-major, FIFO within a queue)
+/// plus its aggregates.
 struct BatchResult {
     std::vector<ProcessResult> results;
     double total_cycles = 0.0;
@@ -59,9 +60,9 @@ struct BatchResult {
     int workers_used = 1;
     /// Control ops drained at this batch's boundary, before its packets ran.
     std::uint64_t control_ops_applied = 0;
-    /// Ring path only (Emulator::poll): RX overflow drops accounted to this
-    /// poll, completions reaped, and RX backlog left behind (nonzero when a
-    /// cycle budget stopped the workers early). Zero on process_batch.
+    /// RX overflow drops accounted to this poll, completions reaped, and RX
+    /// backlog left behind (nonzero when a cycle budget or a full TX ring
+    /// stopped a lane early).
     std::uint64_t ring_dropped = 0;
     std::uint64_t ring_completed = 0;
     std::uint64_t ring_backlog = 0;

@@ -22,6 +22,7 @@
 //     cost is bounded no matter how slow the consumer is.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -114,15 +115,14 @@ public:
     /// valid until advance() — the producer only writes slots at or past the
     /// published head. Consumer-thread only, like consume().
     std::size_t peek(T** out, std::size_t max) {
-        std::uint64_t head = head_.load(std::memory_order_relaxed);
-        std::size_t n = 0;
-        while (n < max) {
-            if (head == cons_.tail_cache) {
-                cons_.tail_cache = tail_.load(std::memory_order_acquire);
-                if (head == cons_.tail_cache) break;
-            }
-            out[n++] = &slots_[static_cast<std::size_t>(head) & mask_];
-            ++head;
+        const std::uint64_t head = head_.load(std::memory_order_relaxed);
+        if (cons_.tail_cache - head < max) {
+            cons_.tail_cache = tail_.load(std::memory_order_acquire);
+        }
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(cons_.tail_cache - head, max));
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = &slots_[static_cast<std::size_t>(head + i) & mask_];
         }
         return n;
     }

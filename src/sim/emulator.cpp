@@ -224,10 +224,12 @@ WorkerPoolOptions Emulator::pool_options() const {
 }
 
 void Emulator::init_worker_state(int w) {
-    // Runs on worker w itself when dispatched through the pool: the shard's
-    // vectors, the cache store's slot/index arrays, and the scratch buffers
-    // are then allocated and first-touched by the (pinned) owner, so the OS
-    // places their pages on the worker's NUMA node.
+    // Through the pool this runs on the thread that runs lane w: worker w
+    // (pinned), the calling thread for the last lane, or whichever thread
+    // took the lane of a worker that woke late. The shard's vectors, the
+    // cache store's slot/index arrays, and the scratch buffers are then
+    // allocated and first-touched by the lane's runner, so the OS places
+    // their pages on that CPU's NUMA node.
     auto wi = static_cast<std::size_t>(w);
     if (cache_shards_[wi].empty()) cache_shards_[wi] = make_cache_set();
     worker_counters_[wi].reset_for(program_);
@@ -239,18 +241,6 @@ void Emulator::init_worker_state(int w) {
         scratch_[wi].hasher.reserve(
             compiled_[static_cast<std::size_t>(front_cache_)].key_fields.size());
     }
-    scratch_[wi].hasher.reserve(steer_fields_.size());
-    // First-touch this worker's slice of the steering scatter buffer (the
-    // "lane"); lanes are equal slices until the first real batch re-sizes
-    // the plan.
-    if (!steer_.idx.empty() && workers_ > 0) {
-        const std::size_t stride = steer_.idx.size() / static_cast<std::size_t>(
-                                                           workers_);
-        const std::size_t begin = wi * stride;
-        const std::size_t end =
-            w == workers_ - 1 ? steer_.idx.size() : begin + stride;
-        for (std::size_t i = begin; i < end; i += 1024) steer_.idx[i] = 0;
-    }
 }
 
 void Emulator::populate_worker_state() {
@@ -261,8 +251,6 @@ void Emulator::populate_worker_state() {
     cache_shards_.resize(n);
     worker_counters_.resize(n);
     scratch_.resize(n);
-    if (steer_.idx.empty()) steer_.idx.resize(4096);  // pre-size the lanes
-    steer_hasher_.reserve(steer_fields_.size());
 
     // Rebuild the NUMA-aware RETA (DESIGN.md §15): 128 buckets sliced into
     // contiguous equal blocks over the workers in node-major pin order, so
@@ -293,8 +281,9 @@ void Emulator::set_worker_count_unlocked(int workers) {
     workers = std::max(1, std::min(workers, std::max(1, model_.cores)));
     if (workers == workers_) return;
     workers_ = workers;
-    // Pool first, then populate: new shards are built by the pinned workers
-    // themselves (first touch), not by this control thread.
+    // Pool first, then populate: new shards are built by the threads that
+    // run their lanes (first touch) — the pinned workers, and this thread
+    // only for the last lane, which it runs in every poll too.
     pool_ = workers_ > 1
                 ? std::make_unique<WorkerPool>(workers_, pool_options())
                 : nullptr;
@@ -318,13 +307,6 @@ void Emulator::set_pin_workers(bool on) {
         pool_ = std::make_unique<WorkerPool>(workers_, pool_options());
         populate_worker_state();
     }
-}
-
-void Emulator::set_match_pipeline(bool on) {
-    // A/B measurement knob (bench/micro_match) — results are identical
-    // either way. Takes the control lock directly like set_pin_workers.
-    std::lock_guard<std::mutex> lock(control_mu_);
-    match_pipeline_ = on;
 }
 
 int Emulator::pinned_workers() const {
@@ -634,29 +616,18 @@ bool Emulator::apply_action(const CompiledAction& action, Packet& packet,
     return dropped;
 }
 
-std::uint64_t Emulator::flow_hash(const Packet& packet) const {
-    // The shared RSS hash (sim/rss.h), so ring dispatch and batch steering
-    // agree packet-for-packet on which worker owns a flow.
-    return rss_hash(packet, steer_fields_.data(), steer_fields_.size());
-}
-
-int Emulator::worker_for_hash(std::uint64_t h) const {
+int Emulator::steer_worker(const Packet& packet) const {
+    std::lock_guard<std::mutex> lock(control_mu_);
     if (workers_ <= 1) return 0;
+    // The shared RSS hash (sim/rss.h) through the NUMA-aware RETA: the
+    // queue a dispatcher from make_rings() picks for the same packet.
+    const std::uint64_t h =
+        rss_hash(packet, steer_fields_.data(), steer_fields_.size());
     if (reta_.empty()) {
         return static_cast<int>(h % static_cast<std::uint64_t>(workers_));
     }
     return static_cast<int>(
         reta_[static_cast<std::size_t>(h) & (reta_.size() - 1)]);
-}
-
-int Emulator::steer_worker_unlocked(const Packet& packet) const {
-    if (workers_ <= 1) return 0;
-    return worker_for_hash(flow_hash(packet));
-}
-
-int Emulator::steer_worker(const Packet& packet) const {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    return steer_worker_unlocked(packet);
 }
 
 ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
@@ -856,7 +827,9 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
     return result;
 }
 
-ProcessResult Emulator::process_unlocked(Packet& packet) {
+ProcessResult Emulator::process(Packet& packet) {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    if (!queue_.empty()) drain_queue_unlocked();  // drain point
     const bool sampled = sampled_for(packet_seq_);
     ++packet_seq_;
     if constexpr (telemetry::kEnabled) {
@@ -864,13 +837,8 @@ ProcessResult Emulator::process_unlocked(Packet& packet) {
         // lane 0 is exclusively ours here.
         metrics_.shard_add(0, mid_.worker_packets);
     }
-    return run_packet(packet, sampled, counters_, cache_shards_[0], scratch_[0]);
-}
-
-ProcessResult Emulator::process(Packet& packet) {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    if (!queue_.empty()) drain_queue_unlocked();  // drain point
-    ProcessResult r = process_unlocked(packet);
+    ProcessResult r =
+        run_packet(packet, sampled, counters_, cache_shards_[0], scratch_[0]);
     // The scalar path is a degenerate batch of one: still a tier boundary
     // (no-op unless some cache has lower tiers enabled).
     flush_tier_stores_unlocked();
@@ -889,182 +857,65 @@ struct FlagGuard {
 };
 }  // namespace
 
-void Emulator::build_steer_plan(const PacketBatch& batch) {
-    // Counting-sort scatter into the reusable flat plan: count per worker,
-    // prefix-sum into lane offsets, then scatter packet indices. All four
-    // buffers grow amortized (assign/resize never shrink capacity), so a
-    // steady-state batch loop builds the plan with zero heap allocations.
-    const std::size_t n = batch.size();
-    const auto w = static_cast<std::size_t>(workers_);
-    steer_.counts.assign(w, 0);
-    if (steer_.offsets.size() < w + 1) steer_.offsets.resize(w + 1);
-    if (steer_.idx.size() < n) steer_.idx.resize(n);
-    if (steer_.worker_of.size() < n) steer_.worker_of.resize(n);
-    if (steer_.hash_of.size() < n) steer_.hash_of.resize(n);
-    // Hash the steering tuples in SIMD groups of kHashGroup; each packet is
-    // hashed exactly once per boundary, and the hash feeds both the RETA
-    // worker choice here and any downstream consumer via hash_of.
-    for (std::size_t i = 0; i < n; i += kHashGroup) {
-        const std::size_t g = std::min(kHashGroup, n - i);
-        if (g == kHashGroup) {
-            steer_hasher_.rss_group(
+void Emulator::service_lane(QueuePair& qp, std::size_t w,
+                            CounterShard& counters, std::uint64_t* seq,
+                            double budget, double& used) {
+    CacheSet& caches = cache_shards_[w];
+    WorkerScratch& scratch = scratch_[w];
+    // Batched match pipeline (DESIGN.md §15): when the program root is a
+    // cache, a full group's keys are hashed in one SIMD pass and all eight
+    // slots prefetched; run_packet then probes with the hash in hand
+    // (ProbeHint). TieredStore::lookup is lookup_hashed with the same hash,
+    // so results are exact.
+    const CompiledNode* front =
+        front_cache_ != kNoNode
+            ? &compiled_[static_cast<std::size_t>(front_cache_)]
+            : nullptr;
+    // Nothing reaps this TX ring while the lane runs, so a packet runs only
+    // while its completion has a slot; the rest stay queued as RX backlog.
+    std::size_t room = qp.tx().capacity() - qp.tx().size();
+    bool stop = budget > 0.0 && used >= budget;
+    RxDesc* group[kHashGroup];
+    std::uint64_t h8[kHashGroup];
+    while (!stop && room > 0) {
+        const std::size_t g = qp.rx().peek(group, std::min(kHashGroup, room));
+        if (g == 0) break;
+        ProbeHint hint;
+        const ProbeHint* hp = nullptr;
+        if (front != nullptr && g == kHashGroup) {
+            scratch.hasher.key_group(
                 [&](std::size_t lane) -> const Packet& {
-                    return batch[i + lane];
+                    return group[lane]->packet;
                 },
-                g, steer_fields_.data(), steer_fields_.size(),
-                steer_.hash_of.data() + i);
-        } else {
-            for (std::size_t lane = 0; lane < g; ++lane) {
-                steer_.hash_of[i + lane] = flow_hash(batch[i + lane]);
+                g, front->key_fields.data(), front->key_fields.size(), h8);
+            const TieredStore& store =
+                *caches[static_cast<std::size_t>(front_cache_)];
+            for (std::size_t lane = 0; lane < g; ++lane) store.prefetch(h8[lane]);
+            hint.node = front_cache_;
+            hp = &hint;
+        }
+        std::size_t done = 0;
+        while (done < g && !stop) {
+            RxDesc& d = *group[done];
+            if (hp != nullptr) hint.key_hash = h8[done];
+            const std::uint64_t s = seq != nullptr ? (*seq)++ : d.seq;
+            ProcessResult r = run_packet(d.packet, sampled_for(s), counters,
+                                         caches, scratch, hp);
+            if (d.enq_time >= 0.0) {
+                r.queue_cycles = std::max(0.0, clock_seconds_ - d.enq_time) *
+                                 model_.cycles_per_second;
             }
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto wk =
-            static_cast<std::uint32_t>(worker_for_hash(steer_.hash_of[i]));
-        steer_.worker_of[i] = wk;
-        ++steer_.counts[wk];
-    }
-    steer_.offsets[0] = 0;
-    for (std::size_t k = 0; k < w; ++k) {
-        steer_.offsets[k + 1] = steer_.offsets[k] + steer_.counts[k];
-    }
-    // Reuse counts as scatter cursors.
-    for (std::size_t k = 0; k < w; ++k) steer_.counts[k] = steer_.offsets[k];
-    for (std::size_t i = 0; i < n; ++i) {
-        steer_.idx[steer_.counts[steer_.worker_of[i]]++] =
-            static_cast<std::uint32_t>(i);
-    }
-}
-
-BatchResult Emulator::process_batch(PacketBatch& batch) {
-    BatchResult out;
-    process_batch(batch, out);
-    return out;
-}
-
-void Emulator::process_batch(PacketBatch& batch, BatchResult& out) {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    out.total_cycles = 0.0;
-    out.dropped = 0;
-    out.workers_used = 1;
-    // Drain point: apply the whole control backlog before any packet runs,
-    // so this batch observes either none or all of each op's effect.
-    out.control_ops_applied = drain_queue_unlocked();
-    FlagGuard in_batch(in_batch_);
-    out.results.resize(batch.size());
-
-    std::chrono::steady_clock::time_point wall_start;
-    if constexpr (telemetry::kEnabled) {
-        wall_start = std::chrono::steady_clock::now();
-    }
-
-    if (deterministic_ || workers_ <= 1 || batch.size() < 2) {
-        out.workers_used = 1;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            out.results[i] = process_unlocked(batch[i]);
-        }
-    } else {
-        out.workers_used = workers_;
-        // Steer every packet up front (same flow -> same worker, and the
-        // packet's sampling decision keeps its arrival-order sequence
-        // number, exactly as the scalar loop would have assigned it).
-        build_steer_plan(batch);
-        const std::uint64_t base_seq = packet_seq_;
-        ProcessResult* results = out.results.data();
-        Packet* packets = batch.packets.data();
-        const std::uint32_t* lane_idx = steer_.idx.data();
-        const std::uint32_t* offsets = steer_.offsets.data();
-        // The job reaches the pool as a function pointer + reference to this
-        // lambda (WorkerPool::run is a template) — no std::function, so the
-        // dispatch itself is allocation-free too.
-        // Batched match pipeline (DESIGN.md §15): when the program's root is
-        // a cache table, each lane hashes its keys in SIMD groups of
-        // kHashGroup, prefetches all the target slots, then resolves the
-        // probes with the loads in flight (run_packet reuses the hash via
-        // ProbeHint). Results are bit-identical to the scalar probe order.
-        const bool pipelined = match_pipeline_ && front_cache_ != kNoNode;
-        const CompiledNode* front =
-            pipelined ? &compiled_[static_cast<std::size_t>(front_cache_)]
-                      : nullptr;
-        auto job = [&](int w) {
-            auto wi = static_cast<std::size_t>(w);
-            CounterShard& shard = worker_counters_[wi];
-            shard.reset_for(program_);
-            WorkerScratch& scratch = scratch_[wi];
-            const std::uint32_t begin = offsets[wi];
-            const std::uint32_t end = offsets[wi + 1];
-            for (std::uint32_t k = begin; k < end;) {
-                const std::size_t g =
-                    std::min<std::size_t>(kHashGroup, end - k);
-                ProbeHint hint;
-                const ProbeHint* hp = nullptr;
-                std::uint64_t h8[kHashGroup];
-                if (pipelined && g == kHashGroup) {
-                    scratch.hasher.key_group(
-                        [&](std::size_t lane) -> const Packet& {
-                            return packets[lane_idx[k + lane]];
-                        },
-                        g, front->key_fields.data(), front->key_fields.size(),
-                        h8);
-                    TieredStore& store =
-                        *cache_shards_[wi][static_cast<std::size_t>(
-                            front_cache_)];
-                    for (std::size_t lane = 0; lane < g; ++lane) {
-                        store.prefetch(h8[lane]);
-                    }
-                    hint.node = front_cache_;
-                    hp = &hint;
-                }
-                for (std::size_t lane = 0; lane < g; ++lane) {
-                    const std::uint32_t idx = lane_idx[k + lane];
-                    if (hp != nullptr) hint.key_hash = h8[lane];
-                    results[idx] = run_packet(packets[idx],
-                                              sampled_for(base_seq + idx),
-                                              shard, cache_shards_[wi],
-                                              scratch, hp);
-                    if constexpr (telemetry::kEnabled) {
-                        // Lane write: non-atomic, this worker owns lane wi.
-                        metrics_.shard_add(wi, mid_.worker_packets);
-                    }
-                }
-                k += static_cast<std::uint32_t>(g);
+            used += r.cycles;
+            qp.tx().try_push(TxCompletion{r, d.seq});  // room was reserved
+            if constexpr (telemetry::kEnabled) {
+                // Lane write: non-atomic, this worker owns lane w.
+                metrics_.shard_add(w, mid_.worker_packets);
             }
-        };
-        pool_->run(job);
-        packet_seq_ += batch.size();
-        // Merge in worker order: deterministic, and counter sums are
-        // order-independent anyway (only the float latency accumulation
-        // depends on it).
-        for (const CounterShard& shard : worker_counters_) {
-            counters_.absorb(shard);
+            ++done;
+            stop = budget > 0.0 && used >= budget;
         }
-    }
-
-    for (const ProcessResult& r : out.results) {
-        out.total_cycles += r.cycles;
-        out.dropped += r.dropped ? 1 : 0;
-    }
-
-    // Batch boundary for the tiered stores: complete partial DMA batches,
-    // apply promotions, fold tier.* deltas.
-    flush_tier_stores_unlocked();
-
-    if constexpr (telemetry::kEnabled) {
-        const auto wall_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        // Batch boundary: lane writers are quiesced, control_mu_ is held —
-        // fold the per-worker lanes and account the batch in the master.
-        metrics_.merge_shards();
-        metrics_.add(mid_.batches);
-        metrics_.add(mid_.packets, static_cast<std::uint64_t>(batch.size()));
-        metrics_.add(mid_.drops, static_cast<std::uint64_t>(out.dropped));
-        metrics_.add(mid_.control_ops,
-                     static_cast<std::uint64_t>(out.control_ops_applied));
-        metrics_.record(mid_.batch_wall_ns, static_cast<double>(wall_ns));
-        metrics_.record(mid_.batch_cycles, out.total_cycles);
+        qp.rx().advance(done);
+        room -= done;
     }
 }
 
@@ -1079,8 +930,8 @@ RssDispatcher Emulator::make_rings(const RingConfig& cfg) const {
     RssDispatcher io(queues, steer_fields_, cfg);
     io.set_steer_fields(steer_fields_,
                         epoch_.load(std::memory_order_acquire));
-    // Share the NUMA-aware RETA so ring dispatch lands each flow on the same
-    // worker batch steering picks (the multi-queue case; the single-queue
+    // Share the NUMA-aware RETA so ring dispatch lands each flow on the
+    // worker steer_worker() names (the multi-queue case; the single-queue
     // configuration steers trivially).
     if (queues > 1) io.set_steer_map(reta_);
     return io;
@@ -1117,113 +968,34 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
     }
 
     const std::size_t nq = io.queue_count();
-    const double cps = model_.cycles_per_second;
-    const bool parallel = !deterministic_ && workers_ > 1 &&
-                          nq == static_cast<std::size_t>(workers_);
-
-    if (!parallel) {
-        // In-order service on the calling thread, queue-major. With the
-        // single-queue dispatcher make_rings builds for deterministic or
-        // single-worker mode this replicates the scalar process() loop
-        // exactly — same seq numbering, same shard-0 counters, same float
-        // accumulation order — so ring and pre-ring paths are bit-identical.
-        double used = 0.0;  // one budget across all queues: one serving core
+    if (deterministic_ || workers_ <= 1 ||
+        nq != static_cast<std::size_t>(workers_)) {
+        // In order on the calling thread, queue-major, into the window
+        // counters with the emulator's own arrival numbering and one budget
+        // (one serving core). With the single queue make_rings builds for
+        // deterministic or single-worker mode this is exactly a process()
+        // loop: same seq numbering, same shard-0 state, same float
+        // accumulation order.
+        double used = 0.0;
         for (std::size_t q = 0; q < nq; ++q) {
-            if (cycle_budget > 0.0 && used >= cycle_budget) break;
-            QueuePair& qp = io.queue(q);
-            qp.rx().consume([&](RxDesc& d) {
-                if constexpr (telemetry::kEnabled) {
-                    metrics_.shard_add(0, mid_.worker_packets);
-                }
-                ProcessResult r =
-                    run_packet(d.packet, sampled_for(packet_seq_), counters_,
-                               cache_shards_[0], scratch_[0]);
-                ++packet_seq_;
-                if (d.enq_time >= 0.0) {
-                    r.queue_cycles =
-                        std::max(0.0, clock_seconds_ - d.enq_time) * cps;
-                }
-                used += r.cycles;
-                qp.tx().try_push(TxCompletion{r, d.seq});
-                return cycle_budget <= 0.0 || used < cycle_budget;
-            });
+            service_lane(io.queue(q), 0, counters_, &packet_seq_,
+                         cycle_budget, used);
         }
     } else {
         out.workers_used = workers_;
-        const double per_budget =
-            cycle_budget > 0.0 ? cycle_budget / static_cast<double>(workers_)
-                               : 0.0;
+        const double per_budget = cycle_budget / static_cast<double>(workers_);
         const std::uint64_t dequeued_before = io.stats().dequeued;
-        // Batched match pipeline on the ring path: drain each RX queue in
-        // peeked groups of kHashGroup — hash all, prefetch all slots, then
-        // run each descriptor with its hash in hand — releasing the slots
-        // per group. Budget semantics match consume(): the packet that
-        // reaches the per-worker budget is still consumed, the rest stay
-        // queued for the next poll.
-        const bool pipelined = match_pipeline_ && front_cache_ != kNoNode;
-        const CompiledNode* front =
-            pipelined ? &compiled_[static_cast<std::size_t>(front_cache_)]
-                      : nullptr;
-        auto job = [&](int w) {
+        // The job reaches the pool as a function pointer + reference to this
+        // lambda (WorkerPool::run is a template), so dispatch allocates
+        // nothing. Each descriptor keeps its arrival seq, so its sampling
+        // decision matches what a process() loop would have made.
+        pool_->run([&](int w) {
             auto wi = static_cast<std::size_t>(w);
-            CounterShard& shard = worker_counters_[wi];
-            shard.reset_for(program_);
-            WorkerScratch& scratch = scratch_[wi];
-            QueuePair& qp = io.queue(wi);
+            worker_counters_[wi].reset_for(program_);
             double used = 0.0;
-            bool budget_hit = false;
-            RxDesc* group[kHashGroup];
-            std::uint64_t h8[kHashGroup];
-            while (!budget_hit) {
-                const std::size_t g = qp.rx().peek(group, kHashGroup);
-                if (g == 0) break;
-                ProbeHint hint;
-                const ProbeHint* hp = nullptr;
-                if (pipelined && g == kHashGroup) {
-                    scratch.hasher.key_group(
-                        [&](std::size_t lane) -> const Packet& {
-                            return group[lane]->packet;
-                        },
-                        g, front->key_fields.data(), front->key_fields.size(),
-                        h8);
-                    TieredStore& store =
-                        *cache_shards_[wi][static_cast<std::size_t>(
-                            front_cache_)];
-                    for (std::size_t lane = 0; lane < g; ++lane) {
-                        store.prefetch(h8[lane]);
-                    }
-                    hint.node = front_cache_;
-                    hp = &hint;
-                }
-                std::size_t done = 0;
-                for (std::size_t lane = 0; lane < g; ++lane) {
-                    RxDesc& d = *group[lane];
-                    // The descriptor keeps its arrival seq, so the sampling
-                    // decision matches what the scalar loop would have made
-                    // at that arrival.
-                    if (hp != nullptr) hint.key_hash = h8[lane];
-                    ProcessResult r =
-                        run_packet(d.packet, sampled_for(d.seq), shard,
-                                   cache_shards_[wi], scratch, hp);
-                    if (d.enq_time >= 0.0) {
-                        r.queue_cycles =
-                            std::max(0.0, clock_seconds_ - d.enq_time) * cps;
-                    }
-                    used += r.cycles;
-                    qp.tx().try_push(TxCompletion{r, d.seq});
-                    if constexpr (telemetry::kEnabled) {
-                        metrics_.shard_add(wi, mid_.worker_packets);
-                    }
-                    ++done;
-                    if (per_budget > 0.0 && used >= per_budget) {
-                        budget_hit = true;
-                        break;
-                    }
-                }
-                qp.rx().advance(done);
-            }
-        };
-        pool_->run(job);
+            service_lane(io.queue(wi), wi, worker_counters_[wi], nullptr,
+                         per_budget, used);
+        });
         packet_seq_ += io.stats().dequeued - dequeued_before;
         // Merge in worker order: deterministic given deterministic per-queue
         // consumption.

@@ -8,16 +8,22 @@
 // emulator exposes P4-counter readings (RawCounters) and supports live
 // reconfiguration (or reflash downtime, per NicModel).
 //
-// Data-plane entry points:
-//   - process(Packet&): the scalar path, one packet on the calling thread.
-//   - process_batch(PacketBatch&): the batched path. With worker_count() > 1
-//     and deterministic() off, packets are steered to worker threads by an
-//     RSS-style hash over the union of table key fields (same flow -> same
-//     worker, always), each worker runs against its own cache shard and
-//     private CounterShard (no atomics on the hot path), and shards merge
-//     into the window counters in worker order at batch end. With one worker
-//     or deterministic mode the batch runs through the scalar path in input
-//     order and is bit-identical to calling process() per packet.
+// Data plane (DESIGN.md §7, §12). Assumptions, referred to by name:
+//
+//   INGRESS: every batch enters through descriptor rings — make_rings()
+//            builds an RssDispatcher, the producer dispatches into its RX
+//            queues, and poll() runs each queue's lane and reaps its TX
+//            ring. Same flow -> same queue -> same worker, always; each
+//            worker owns a cache shard and a private CounterShard (no
+//            hot-path atomics), merged in worker order at the poll's end.
+//   ORACLE:  process(Packet&) runs one packet on the calling thread and is
+//            the reference every ring mode is tested against. A one-queue
+//            poll (one worker or deterministic mode) is bit-identical to a
+//            process() loop; parallel polls match its integer counters.
+//   NOWANT:  we do not want the following:
+//            - caller-built batches handed straight to the engine
+//            - a switch that turns the group-of-8 probe pipeline off
+//            - per-call steering plans (the dispatcher steers on arrival)
 //
 // Control plane (ISSUE 3): every mutation (entry ops, cache invalidation,
 // window resets, worker/instrumentation changes, program swaps) travels a
@@ -25,9 +31,9 @@
 // it NEVER blocks on a batch in flight. Pending ops are drained, in enqueue
 // order, at well-defined drain points:
 //
-//   - batch boundaries: process_batch() (and process()) drains the backlog
-//     before the batch's packets run, so a batch observes either none or
-//     all of an op's effect, never a torn one;
+//   - batch boundaries: poll() (and process()) drains the backlog before
+//     any packet runs, so a batch observes either none or all of an op's
+//     effect, never a torn one;
 //   - any control call that finds the data plane idle: the caller drains
 //     synchronously (single-threaded use is therefore exactly as strict as
 //     the old mutex fence — mutate, then read, sees the mutation);
@@ -159,19 +165,9 @@ public:
 
     // ---------------------------------------------------------- data plane
 
-    /// Runs the packet to completion; mutates the packet's fields.
+    /// Runs the packet to completion; mutates the packet's fields. The
+    /// ORACLE: the scalar reference for every ring mode.
     ProcessResult process(Packet& packet);
-
-    /// Runs a whole batch; results come back in input order. See the header
-    /// comment for the steering/shard-merge/determinism contract.
-    BatchResult process_batch(PacketBatch& batch);
-
-    /// Same, but reuses the caller's BatchResult buffers: `out.results` is
-    /// resized in place (capacity retained across calls), so a steady-state
-    /// pump loop performs zero per-batch heap allocations — the steering
-    /// scatter buffer, per-worker scratch, and result vector are all
-    /// reused. Aggregates in `out` are reset before the batch runs.
-    void process_batch(PacketBatch& batch, BatchResult& out);
 
     // -------------------------------------------------- descriptor-ring I/O
     //
@@ -184,18 +180,21 @@ public:
 
     /// Builds a dispatcher wired to this emulator: one queue per worker
     /// (exactly one in deterministic or single-worker mode — the in-order
-    /// configuration), steering by the same flow hash as process_batch.
+    /// configuration), steering by the same flow hash as steer_worker().
     RssDispatcher make_rings(const RingConfig& cfg = {}) const;
 
     /// Services the rings once. A poll is a batch boundary: the control
     /// backlog drains before any descriptor is consumed (ring-drain
-    /// boundary), then every RX queue is drained — in parallel when the
-    /// dispatcher has one queue per worker, else in order on the calling
-    /// thread (deterministic mode, single worker, or a stale queue count
-    /// after a worker-count change). `cycle_budget > 0` bounds the emulated
-    /// cycles spent (split evenly across workers); unconsumed descriptors
-    /// stay queued for the next poll. Completions land in `out.results` in
-    /// reap order (queue-major, FIFO within a queue).
+    /// boundary), then each RX queue runs one lane — in parallel on the
+    /// worker pool (the calling thread runs a lane too, see
+    /// sim/worker_pool.h) when the dispatcher has one queue per worker,
+    /// else in order on the calling thread (deterministic mode, single
+    /// worker, or a stale queue count after a worker-count change).
+    /// `cycle_budget > 0` bounds the emulated cycles spent (split evenly
+    /// across workers). A lane also stops while its queue's TX ring is
+    /// full. Unconsumed descriptors stay queued for the next poll.
+    /// Completions land in `out.results` in reap order (queue-major, FIFO
+    /// within a queue).
     void poll(RssDispatcher& io, BatchResult& out, double cycle_budget = 0.0);
     BatchResult poll(RssDispatcher& io, double cycle_budget = 0.0);
 
@@ -209,20 +208,12 @@ public:
     void set_worker_count(int workers);
     int worker_count() const { return workers_; }
 
-    /// Deterministic mode forces every batch down the sequential scalar
-    /// path regardless of worker count — merged counters and latency stats
-    /// are then bit-identical to a process() loop.
+    /// Deterministic mode makes make_rings() build one queue and poll()
+    /// serve it in order on the calling thread regardless of worker count —
+    /// merged counters and latency stats are then bit-identical to a
+    /// process() loop.
     void set_deterministic(bool on) { deterministic_ = on; }
     bool deterministic() const { return deterministic_; }
-
-    /// The batched match pipeline (DESIGN.md §15): per steering lane, keys
-    /// are hashed in SIMD groups of kHashGroup, the target cache slots
-    /// prefetched, and probes resolved with the loads in flight. On by
-    /// default; results are bit-identical with it off (test-enforced) — this
-    /// knob exists for A/B measurement (bench/micro_match) and triage.
-    /// Fenced like set_pin_workers (waits for an in-flight batch).
-    void set_match_pipeline(bool on);
-    bool match_pipeline() const { return match_pipeline_; }
 
     /// The worker a packet's flow steers to (stable across batches: it
     /// depends only on the packet's key-field values and the worker count).
@@ -230,11 +221,13 @@ public:
 
     /// Host-topology pinning policy (ISSUE 5). On by default: each worker
     /// thread pins to a CPU picked locality-first from the host topology,
-    /// and its counter shard / cache shard / steering lane are first-touched
-    /// from that CPU. The PIPELEON_PIN_WORKERS=0 environment variable is a
-    /// process-wide override; this setter is the per-emulator one. Takes
-    /// the control lock directly (it recreates the worker pool), so unlike
-    /// the queued mutators it waits for an in-flight batch.
+    /// and its counter shard / cache shard / scratch are first-touched from
+    /// that CPU (the last lane's from the calling thread, which runs that
+    /// lane itself; see sim/worker_pool.h). The PIPELEON_PIN_WORKERS=0
+    /// environment variable is a process-wide override; this setter is the
+    /// per-emulator one. Takes the control lock directly (it recreates the
+    /// worker pool), so unlike the queued mutators it waits for an
+    /// in-flight batch.
     void set_pin_workers(bool on);
     bool pin_workers() const { return pin_workers_; }
 
@@ -375,18 +368,6 @@ private:
         MatchBatcher hasher;
     };
 
-    /// The reusable counting-sort steering plan (ISSUE 5). One flat scatter
-    /// buffer replaces the per-batch std::vector<std::vector<uint32_t>>:
-    /// worker w's lane is idx[offsets[w] .. offsets[w+1]). All four buffers
-    /// grow amortized and are reused across batches.
-    struct SteerPlan {
-        std::vector<std::uint32_t> counts;     ///< per worker; reused as cursors
-        std::vector<std::uint32_t> offsets;    ///< workers_ + 1 prefix sums
-        std::vector<std::uint32_t> idx;        ///< packet indices, lane-grouped
-        std::vector<std::uint32_t> worker_of;  ///< per packet steering result
-        std::vector<std::uint64_t> hash_of;    ///< per packet steering hash
-    };
-
     /// A precomputed probe hint for run_packet (batched pipeline): when the
     /// walk reaches `node`, the front cache's lookup reuses `key_hash`
     /// (already computed by the group's SIMD pass, slot already prefetched)
@@ -409,16 +390,15 @@ private:
     TierStats tier_totals_unlocked() const;
     /// Sizes per-worker state (cache shards, counter shards, scratch) to
     /// workers_. Existing cache shards (and their warm entries) are kept;
-    /// new shards are constructed on their owning worker thread when the
-    /// pool exists, so the backing pages are first-touched on the worker's
-    /// (pinned) CPU/NUMA node.
+    /// new shards are constructed by the thread that runs their lane when
+    /// the pool exists, so the backing pages are first-touched on that
+    /// thread's CPU/NUMA node (the pinned worker's, or the caller's for the
+    /// last lane).
     void populate_worker_state();
-    /// Builds or resets worker `w`'s shard state; runs on the owning worker
+    /// Builds or resets worker `w`'s shard state; runs on lane w's runner
     /// when called through the pool's warm pass.
     void init_worker_state(int w);
     WorkerPoolOptions pool_options() const;
-    /// Fills steer_ for the batch (counting sort by steering hash).
-    void build_steer_plan(const PacketBatch& batch);
 
     bool sampled_for(std::uint64_t seq) const;
     /// The scalar per-packet loop, parameterized over the counter shard,
@@ -426,17 +406,21 @@ private:
     ProcessResult run_packet(Packet& packet, bool sampled, CounterShard& counters,
                              CacheSet& caches, WorkerScratch& scratch,
                              const ProbeHint* hint = nullptr);
+    /// Services one RX queue with worker `w`'s cache shard, scratch and
+    /// metrics lane: groups of kHashGroup descriptors are peeked, their
+    /// root-cache probes hashed and prefetched when the program root is a
+    /// cache, then each packet runs into `counters` and posts its
+    /// completion. Sampling numbers come from `*seq` (bumped per packet)
+    /// when `seq` is set, else from the descriptors' arrival seqs. Stops
+    /// when the RX ring is empty, the TX ring is full, or `used` reaches
+    /// `budget` (> 0); the packet that reaches it still runs.
+    void service_lane(QueuePair& qp, std::size_t w, CounterShard& counters,
+                      std::uint64_t* seq, double budget, double& used);
     /// Applies an action; returns true when the packet was dropped.
     bool apply_action(const CompiledAction& action, Packet& packet,
                       const std::vector<std::uint64_t>& args, double scale,
                       double& cycles) const;
-    std::uint64_t flow_hash(const Packet& packet) const;
-    int steer_worker_unlocked(const Packet& packet) const;
-    /// Steering hash -> worker through the NUMA-aware RETA (plain modulo
-    /// when the RETA is empty: single worker, or no topology advantage).
-    int worker_for_hash(std::uint64_t h) const;
 
-    ProcessResult process_unlocked(Packet& packet);
     void begin_window_unlocked();
     /// Deploys `new_program` and installs `loads`. Same-named tables the
     /// loads do not cover keep their compatible entries, in insertion order.
@@ -531,10 +515,8 @@ private:
     /// contiguous equal-size blocks in node-major worker order, rebuilt by
     /// populate_worker_state(). Empty with one worker (plain modulo).
     /// make_rings() installs a copy on the dispatcher so ring dispatch and
-    /// batch steering agree packet-for-packet.
+    /// steer_worker() agree packet-for-packet.
     std::vector<std::uint32_t> reta_;
-    /// SIMD hashing scratch for the steer plan (control thread only).
-    MatchBatcher steer_hasher_;
     /// The program's root cache node when it has one (the only node the
     /// group prefetch can target: fields are unmutated at the root), else
     /// ir::kNoNode — gates the batched probe pipeline per program.
@@ -542,8 +524,6 @@ private:
 
     /// Per-worker scratch, indexed like cache_shards_ / worker_counters_.
     std::vector<WorkerScratch> scratch_;
-    /// Reusable steering plan (control thread only, under control_mu_).
-    SteerPlan steer_;
 
     /// True when any cache table of the deployed program has lower tiers
     /// enabled — gates the per-batch tier flush so single-tier programs pay
@@ -554,7 +534,6 @@ private:
 
     int workers_ = 1;
     bool deterministic_ = false;
-    bool match_pipeline_ = true;
     bool pin_workers_ = true;
     util::Topology topology_ = util::Topology::detect();
     std::unique_ptr<WorkerPool> pool_;

@@ -72,7 +72,7 @@ void rss_hash8(const std::uint64_t* words, std::size_t n_fields,
 void key_hash8(const std::uint64_t* words, std::size_t n_fields,
                std::uint64_t out[kHashGroup], SimdTier tier);
 
-/// Reusable gather+hash scratch for one consumer (a steering lane, the RSS
+/// Reusable gather+hash scratch for one consumer (a poll lane, the RSS
 /// dispatcher, a bench loop). The field-major gather buffer grows amortized
 /// — reserve() it during setup and the steady-state group hash performs no
 /// heap allocation.

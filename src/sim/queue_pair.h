@@ -23,8 +23,9 @@ struct RingConfig {
     /// the worst-case queueing delay a packet can accumulate (a full ring of
     /// predecessors) — small rings shed early, large rings buffer deep.
     std::size_t rx_capacity = 1024;
-    /// TX completion slots per queue; 0 = match rx_capacity (a poll can
-    /// complete at most a full RX ring, so matching never overflows).
+    /// TX completion slots per queue; 0 = match rx_capacity. One poll
+    /// completes at most this many descriptors per queue: a lane stops while
+    /// its TX ring is full, and the rest stay queued as RX backlog.
     std::size_t tx_capacity = 0;
 };
 
@@ -36,10 +37,6 @@ struct RxDesc {
     Packet packet;
     std::uint64_t seq = 0;
     double enq_time = -1.0;
-    /// Steering hash (rss_hash over the epoch's steer fields) stamped by the
-    /// dispatcher, so each packet is hashed exactly once per batch boundary
-    /// — consumers reuse it instead of recomputing.
-    std::uint64_t flow_hash = 0;
 };
 
 /// One TX completion: the per-packet result, tagged with the RX seq.

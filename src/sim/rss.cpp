@@ -66,7 +66,6 @@ int RssDispatcher::dispatch_hashed(const Packet& packet, std::uint64_t h,
         d.packet = packet;
         d.seq = seq_;
         d.enq_time = now;
-        d.flow_hash = h;
     });
     ++seq_;  // a dropped packet still consumes an arrival number
     return ok ? static_cast<int>(q) : -1;
@@ -74,8 +73,7 @@ int RssDispatcher::dispatch_hashed(const Packet& packet, std::uint64_t h,
 
 std::size_t RssDispatcher::dispatch_batch(const PacketBatch& batch, double now) {
     // Hash in SIMD groups of kHashGroup, then funnel each packet through the
-    // single-packet path with its hash in hand — one hash per packet per
-    // boundary, computed by the same kernel the emulator's steer plan uses.
+    // single-packet path with its hash in hand — one hash per packet.
     std::size_t accepted = 0;
     std::uint64_t h[kHashGroup];
     const std::size_t n = batch.size();

@@ -1,11 +1,12 @@
 // sim/rss.h — multi-queue RSS dispatch over descriptor rings (ISSUE 6).
-// The dispatcher is the emulator's front end: it hashes each packet's flow
-// tuple (the same FNV-1a + SplitMix64 hash the batch path steers with, so
-// same flow -> same queue -> same worker shard, always) and enqueues an RX
-// descriptor into that queue's ring, dropping on overflow. The emulator
-// builds one via Emulator::make_rings() and services it via
-// Emulator::poll(); a single-queue dispatcher is the in-order configuration
-// deterministic mode requires.
+// The dispatcher is the emulator's front end and its only batch ingress: it
+// hashes each packet's flow tuple (FNV-1a + SplitMix64, the hash
+// Emulator::steer_worker names workers with, so same flow -> same queue ->
+// same worker shard, always) and enqueues an RX descriptor into that
+// queue's ring, dropping on overflow. The emulator builds one via
+// Emulator::make_rings() and services it via Emulator::poll(); a
+// single-queue dispatcher is the in-order configuration deterministic mode
+// requires.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +24,7 @@ namespace pipeleon::sim {
 /// The RSS flow hash: FNV-1a over the steering tuple's 64-bit values,
 /// finished with a SplitMix64 avalanche so the low bits a modulo consumes
 /// are well mixed. Shared by Emulator::steer_worker and RssDispatcher so
-/// ring dispatch and batch steering agree packet-for-packet.
+/// the two agree packet-for-packet.
 std::uint64_t rss_hash(const Packet& packet, const FieldId* fields,
                        std::size_t n_fields);
 
@@ -54,7 +55,7 @@ public:
     /// Installs a NUMA-aware indirection table (RETA): queue =
     /// reta[hash & (reta.size()-1)]. Size must be a power of two; an empty
     /// table restores plain `hash % queues`. The emulator shares its own
-    /// RETA here (make_rings) so ring dispatch and batch steering agree
+    /// RETA here (make_rings) so ring dispatch and steer_worker agree
     /// packet-for-packet even when steering is node-aware (DESIGN.md §15).
     void set_steer_map(std::vector<std::uint32_t> reta);
     const std::vector<std::uint32_t>& steer_map() const { return reta_; }
@@ -69,8 +70,7 @@ public:
     /// dispatch() with the steering hash already computed (must equal
     /// rss_hash over the current steer fields). The batched front end hashes
     /// groups of kHashGroup packets with the SIMD kernel, then funnels each
-    /// through here — one hash per packet per boundary, stamped into
-    /// RxDesc::flow_hash for downstream reuse.
+    /// through here — one hash per packet.
     int dispatch_hashed(const Packet& packet, std::uint64_t h,
                         double now = -1.0);
 

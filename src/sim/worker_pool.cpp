@@ -36,6 +36,7 @@ bool WorkerPool::pin_enabled_from_env() {
 
 WorkerPool::WorkerPool(int workers, WorkerPoolOptions options) {
     workers = std::max(1, workers);
+    size_ = workers;
     const bool pin = options.pin && pin_enabled_from_env();
     if (pin) {
         if (options.topology != nullptr) {
@@ -89,15 +90,19 @@ void WorkerPool::run_raw(RawFn fn, void* ctx) {
         slot.seq.store(gen, std::memory_order_release);
         slot.seq.notify_one();
     }
-    // Join: wait on each worker's done echo. Workers that finished already
-    // cost one acquire load; stragglers park the caller on their futex.
-    for (int i = 0; i < size(); ++i) {
-        Slot& slot = slots_[static_cast<std::size_t>(i)];
-        std::uint64_t d = slot.done.load(std::memory_order_acquire);
-        while (d != gen) {
-            slot.done.wait(d, std::memory_order_acquire);
-            d = slot.done.load(std::memory_order_acquire);
-        }
+    // The caller runs lanes too, from the last one down: the last worker was
+    // woken last, so its lane is the least likely to have started. With the
+    // caller as a spare runner the barrier waits on the first size() of
+    // size() + 1 threads to get going, not on every worker's wake-up.
+    for (int lane = size() - 1; lane >= 0; --lane) run_lane(lane, gen);
+    // Join: wait until every lane of this generation has finished. The
+    // thread finishing the last one notifies; the acquire pairs with every
+    // lane's release increment, so all lane writes are visible here.
+    const std::uint64_t target = gen * static_cast<std::uint64_t>(size());
+    std::uint64_t f = finished_.load(std::memory_order_acquire);
+    while (f != target) {
+        finished_.wait(f, std::memory_order_acquire);
+        f = finished_.load(std::memory_order_acquire);
     }
     std::exception_ptr err;
     {
@@ -105,6 +110,28 @@ void WorkerPool::run_raw(RawFn fn, void* ctx) {
         err = first_error_;
     }
     if (err) std::rethrow_exception(err);
+}
+
+void WorkerPool::run_lane(int lane, std::uint64_t gen) {
+    // Win the lane for `gen` unless some thread already has. A claim is only
+    // won for the generation the runner was handed, and run() cannot return
+    // before a claimed lane finishes, so job_ is stable while a lane runs.
+    std::atomic<std::uint64_t>& c =
+        slots_[static_cast<std::size_t>(lane)].claimed;
+    std::uint64_t cur = c.load(std::memory_order_relaxed);
+    do {
+        if (cur >= gen) return;
+    } while (!c.compare_exchange_weak(cur, gen, std::memory_order_acquire,
+                                      std::memory_order_relaxed));
+    try {
+        job_(job_ctx_, lane);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu_);
+        if (!first_error_) first_error_ = std::current_exception();
+    }
+    const std::uint64_t f =
+        finished_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (f == gen * static_cast<std::uint64_t>(size())) finished_.notify_one();
 }
 
 void WorkerPool::worker_loop(int id) {
@@ -124,14 +151,10 @@ void WorkerPool::worker_loop(int id) {
         }
         if (stop_.load(std::memory_order_acquire)) return;
         seen = s;
-        try {
-            job_(job_ctx_, id);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu_);
-            if (!first_error_) first_error_ = std::current_exception();
-        }
-        slot.done.store(seen, std::memory_order_release);
-        slot.done.notify_one();
+        // Own lane first, then every lane no thread has started. A worker
+        // that wakes after its whole generation finished runs nothing and
+        // goes back to waiting.
+        for (int k = 0; k < size(); ++k) run_lane((id + k) % size(), seen);
     }
 }
 

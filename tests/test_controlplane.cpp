@@ -24,6 +24,7 @@
 #include "sim/emulator.h"
 #include "sim/nic_model.h"
 #include "trafficgen/workload.h"
+#include "util/strings.h"
 
 namespace pipeleon {
 namespace {
@@ -79,7 +80,7 @@ runtime::ControllerConfig controller_config() {
 }
 
 std::string fixture(const char* rel) {
-    return std::string(PIPELEON_SOURCE_DIR) + "/" + rel;
+    return util::format("%s/%s", PIPELEON_SOURCE_DIR, rel);
 }
 
 // ---------------------------------------------------------------- sim layer
@@ -133,8 +134,8 @@ TEST(ControlQueue, EpochSwapInstallsProgramAndEntriesTogether) {
 }
 
 /// queue_epoch never drains: the op sits pending (reads still observe the
-/// old epoch) until the next batch boundary, where process_batch reports the
-/// drain and the swap becomes visible.
+/// old epoch) until the next batch boundary, where poll reports the drain
+/// and the swap becomes visible.
 TEST(ControlQueue, QueuedEpochAppliesAtBatchBoundary) {
     Program p = two_tables();
     sim::Emulator emu(nic(), p, {});
@@ -150,7 +151,9 @@ TEST(ControlQueue, QueuedEpochAppliesAtBatchBoundary) {
 
     sim::PacketBatch batch(1);
     batch[0].set(emu.fields().intern("src"), 7);
-    sim::BatchResult r = emu.process_batch(batch);
+    sim::RssDispatcher io = emu.make_rings();
+    io.dispatch_batch(batch);
+    sim::BatchResult r = emu.poll(io);
     EXPECT_GE(r.control_ops_applied, 1u);  // drained at the batch boundary
     EXPECT_EQ(emu.epoch(), 1u);
     EXPECT_EQ(emu.entry_count("A"), 1u);
@@ -211,51 +214,6 @@ TEST(ControlQueue, InvalidProgramRejectedAtEnqueue) {
     EXPECT_EQ(emu.epoch(), 0u);
 }
 
-/// Deterministic-mode batches interleaved with control ops stay bit-identical
-/// (counters AND float latency accumulation) to a scalar process() loop
-/// issuing the same ops at the same packet positions.
-TEST(ControlQueue, DeterministicBatchesWithControlOpsMatchScalar) {
-    ir::Program prog = ir::chain_of_exact_tables("p", 4, 2, 1);
-    sim::Emulator scalar(sim::bluefield2_model(), prog, {});
-    sim::Emulator batched(sim::bluefield2_model(), prog, {});
-    batched.set_worker_count(4);
-    batched.set_deterministic(true);
-
-    util::Rng rng(7);
-    std::vector<trafficgen::FieldRange> tuple;
-    for (int i = 0; i < 4; ++i) tuple.push_back({"f" + std::to_string(i), 0, 31});
-    trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 64, rng);
-    trafficgen::Workload wl_a(flows, trafficgen::Locality::Zipf, 1.1, 11);
-    trafficgen::Workload wl_b(flows, trafficgen::Locality::Zipf, 1.1, 11);
-
-    constexpr int kPhases = 5;
-    constexpr std::size_t kPerPhase = 200;
-    for (int phase = 0; phase < kPhases; ++phase) {
-        // Same control op, same point in the packet stream, both emulators.
-        TableEntry e = exact_entry(static_cast<std::uint64_t>(phase), 0);
-        ASSERT_TRUE(scalar.insert_entry("t0", e));
-        ASSERT_TRUE(batched.insert_entry("t0", e));
-
-        for (std::size_t i = 0; i < kPerPhase; ++i) {
-            sim::Packet pkt = wl_a.next_packet(scalar.fields());
-            scalar.process(pkt);
-        }
-        sim::PacketBatch batch = wl_b.next_batch(batched.fields(), kPerPhase);
-        sim::BatchResult r = batched.process_batch(batch);
-        ASSERT_EQ(r.results.size(), kPerPhase);
-    }
-
-    profile::RawCounters ca = scalar.read_counters();
-    profile::RawCounters cb = batched.read_counters();
-    EXPECT_EQ(ca.action_hits, cb.action_hits);
-    EXPECT_EQ(ca.misses, cb.misses);
-    EXPECT_EQ(ca.entries, cb.entries);
-    util::RunningStats la = scalar.latency_stats();
-    util::RunningStats lb = batched.latency_stats();
-    EXPECT_EQ(la.count(), lb.count());
-    EXPECT_EQ(la.sum(), lb.sum());  // bit-identical, not approximately
-}
-
 /// Stress (run under TSan in CI): control-plane enqueues complete while
 /// batches are in flight — ops defer instead of blocking — and no op is
 /// lost: after a final drain the backlog is empty and every submitted op
@@ -267,7 +225,7 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
 
     util::Rng rng(3);
     std::vector<trafficgen::FieldRange> tuple;
-    for (int i = 0; i < 6; ++i) tuple.push_back({"f" + std::to_string(i), 0, 255});
+    for (int i = 0; i < 6; ++i) tuple.push_back({util::format("f%d", i), 0, 255});
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 128, rng);
     apps::install_flow_entries(emu, flows);
     const std::size_t base_entries = emu.entry_count("t0");
@@ -275,9 +233,12 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
 
     std::atomic<bool> stop{false};
     std::thread data([&] {
+        sim::RingConfig cfg;
+        cfg.rx_capacity = 2048;
+        sim::RssDispatcher io = emu.make_rings(cfg);
         while (!stop.load(std::memory_order_relaxed)) {
-            sim::PacketBatch batch = wl.next_batch(emu.fields(), 2048);
-            emu.process_batch(batch);
+            io.dispatch_batch(wl.next_batch(emu.fields(), 2048));
+            emu.poll(io);
         }
     });
 
@@ -342,7 +303,7 @@ TEST(ControlQueue, MultiProducerConcurrentEnqueues) {
 
     util::Rng rng(3);
     std::vector<trafficgen::FieldRange> tuple;
-    for (int i = 0; i < 6; ++i) tuple.push_back({"f" + std::to_string(i), 0, 255});
+    for (int i = 0; i < 6; ++i) tuple.push_back({util::format("f%d", i), 0, 255});
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 128, rng);
     apps::install_flow_entries(emu, flows);
     const std::size_t base_entries = emu.entry_count("t0");
@@ -350,9 +311,10 @@ TEST(ControlQueue, MultiProducerConcurrentEnqueues) {
 
     std::atomic<bool> stop{false};
     std::thread data([&] {
+        sim::RssDispatcher io = emu.make_rings();
         while (!stop.load(std::memory_order_relaxed)) {
-            sim::PacketBatch batch = wl.next_batch(emu.fields(), 1024);
-            emu.process_batch(batch);  // drains the queue at the boundary
+            io.dispatch_batch(wl.next_batch(emu.fields(), 1024));
+            emu.poll(io);  // drains the queue at the boundary
         }
     });
 
@@ -363,7 +325,7 @@ TEST(ControlQueue, MultiProducerConcurrentEnqueues) {
     std::vector<std::thread> producers;
     for (int t = 0; t < kProducers; ++t) {
         producers.emplace_back([&, t] {
-            const std::string table = "t" + std::to_string(t);
+            const std::string table = util::format("t%d", t);
             std::uint64_t key = 1u << 20;
             for (std::uint64_t i = 0; i < kOpsPerProducer; ++i) {
                 ASSERT_TRUE(emu.insert_entry(table, exact_entry(key++, 0)));
@@ -379,7 +341,7 @@ TEST(ControlQueue, MultiProducerConcurrentEnqueues) {
     EXPECT_EQ(stats.queue_depth, 0u);
     EXPECT_EQ(stats.ops_drained, stats.ops_submitted);
     for (int t = 0; t < kProducers; ++t) {
-        EXPECT_EQ(emu.entry_count("t" + std::to_string(t)),
+        EXPECT_EQ(emu.entry_count(util::format("t%d", t)),
                   base_entries + kOpsPerProducer);
     }
 }

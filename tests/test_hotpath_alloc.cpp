@@ -1,10 +1,10 @@
-// tests/test_hotpath_alloc.cpp — proves the batch hot path is allocation-free
-// in steady state (ISSUE 5 acceptance criterion). A global operator new/delete
-// override counts every heap allocation made while `g_counting` is armed; the
-// test warms an emulator until all flows are cached and every amortized buffer
-// (steering plan, worker scratch, result vector, counter shards) has reached
-// its high-water capacity, then asserts that further process_batch calls make
-// exactly zero allocations across all worker threads.
+// tests/test_hotpath_alloc.cpp — proves the data-plane hot path is
+// allocation-free in steady state. A global operator new/delete override
+// counts every heap allocation made while `g_counting` is armed; each test
+// warms an emulator until all flows are cached and every amortized buffer
+// (ring slots, worker scratch, result vector, counter shards) has reached
+// its high-water capacity, then asserts that further dispatch -> poll
+// rounds make exactly zero allocations across all worker threads.
 //
 // This binary owns the override, so it must not be linked into other tests.
 #include <gtest/gtest.h>
@@ -17,10 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/pipelet.h"
 #include "apps/scenarios.h"
+#include "cached_chain.h"
 #include "ir/builder.h"
-#include "opt/transform.h"
 #include "sim/emulator.h"
 #include "sim/nic_model.h"
 #include "sim/tiered_store.h"
@@ -104,75 +103,11 @@ TEST(HotPathAlloc, HookCountsAllocations) {
     EXPECT_GE(g_alloc_count.load(), 1u) << "override not linked in";
 }
 
-TEST(HotPathAlloc, SteadyStateBatchLoopMakesZeroAllocations) {
-    ir::Program prog = ir::chain_of_exact_tables("p", kChainLen, 2, 1);
-    Emulator emu(bluefield2_model(), prog, {});
-    emu.set_worker_count(4);
-
-    util::Rng rng(5);
-    std::vector<trafficgen::FieldRange> tuple;
-    for (int i = 0; i < kChainLen; ++i) {
-        // snprintf, not string operator+: GCC 12 -O3 emits a bogus
-        // -Wrestrict through char_traits when the concat inlines against
-        // this binary's custom operator new, and CI builds with -Werror.
-        char name[16];
-        std::snprintf(name, sizeof(name), "f%d", i);
-        tuple.push_back({name, 0, 255});
-    }
-    trafficgen::FlowSet flows =
-        trafficgen::FlowSet::generate(tuple, kFlows, rng);
-    apps::install_flow_entries(emu, flows);
-    trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 3);
-
-    // One pristine batch, replayed every iteration. Packets are mutated in
-    // place by processing, so each round restores them by copy-assignment —
-    // equal sizes mean the inner vectors reuse capacity: no allocation.
-    const PacketBatch pristine = wl.next_batch(emu.fields(), 256);
-    PacketBatch work = pristine;
-    BatchResult out;
-
-    // Warm-up: steering plan, scratch, result vector, and counter shards all
-    // reach their high-water capacity; pool threads are up.
-    for (int i = 0; i < 6; ++i) {
-        work = pristine;
-        emu.process_batch(work, out);
-    }
-
-    g_alloc_count.store(0);
-    g_counting.store(true);
-    for (int i = 0; i < 10; ++i) {
-        work = pristine;
-        emu.process_batch(work, out);
-    }
-    g_counting.store(false);
-
-    EXPECT_EQ(g_alloc_count.load(), 0u)
-        << "steering/dispatch hot path allocated on the steady-state batch "
-           "loop";
-    EXPECT_EQ(out.results.size(), pristine.size());
-    EXPECT_EQ(out.workers_used, 4);
-}
-
-/// Same criterion through the flow-cache hit path: once every flow in the
-/// batch has been learned, replaying the batch is pure cache hits and must
-/// not touch the heap either.
+/// The flow-cache hit path: once every flow in the burst has been learned,
+/// replaying the burst is pure cache hits and must not touch the heap.
 TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
-    ir::Program prog = ir::chain_of_exact_tables("p", kChainLen, 2, 1);
-    // Wrap the chain's head in a flow cache exactly as the figure benches do.
-    analysis::PipeletOptions popt;
-    popt.max_length = kChainLen + 2;
-    auto pipelets = analysis::form_pipelets(prog, popt);
-    opt::PipeletPlan plan;
-    plan.pipelet_id = 0;
-    for (std::size_t i = 0; i < pipelets[0].nodes.size(); ++i) {
-        plan.layout.order.push_back(i);
-    }
-    plan.layout.caches = {opt::Segment{0, 2}};
-    plan.layout.cache_config.capacity = 4096;
-    plan.layout.cache_config.max_insert_per_sec = 1e9;
-    ir::Program cached = opt::apply_plans(prog, pipelets, {plan});
-
-    Emulator emu(bluefield2_model(), cached, {});
+    Emulator emu(bluefield2_model(), test_support::cached_chain("p", kChainLen),
+                 {});
     emu.set_worker_count(2);
 
     util::Rng rng(6);
@@ -190,12 +125,17 @@ TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
     apps::install_flow_entries(emu, flows);
     trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 4);
 
+    // The same burst replays every round. Warm-up learns all flows, cycles
+    // every RX slot of both queues (so each slot's inline Packet has held a
+    // full-width packet), and grows the result vector to its high water.
     const PacketBatch pristine = wl.next_batch(emu.fields(), 256);
-    PacketBatch work = pristine;
+    RingConfig cfg;
+    cfg.rx_capacity = 512;
+    RssDispatcher io = emu.make_rings(cfg);
     BatchResult out;
-    for (int i = 0; i < 6; ++i) {  // learn all flows + reach capacity
-        work = pristine;
-        emu.process_batch(work, out);
+    for (int i = 0; i < 24; ++i) {
+        io.dispatch_batch(pristine);
+        emu.poll(io, out);
     }
 
     profile::RawCounters before = emu.read_counters();
@@ -203,8 +143,8 @@ TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
     g_alloc_count.store(0);
     g_counting.store(true);
     for (int i = 0; i < 10; ++i) {
-        work = pristine;
-        emu.process_batch(work, out);
+        io.dispatch_batch(pristine);
+        emu.poll(io, out);
     }
     g_counting.store(false);
 
@@ -218,7 +158,7 @@ TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
     EXPECT_GT(hits_after, hits_before);
 }
 
-/// Same criterion through the descriptor-ring I/O path (ISSUE 6): once the
+/// The plain chain through the descriptor-ring I/O path: once the
 /// ring slots' inline Packets have grown to the workload's field count and
 /// the OfferedLoad source has interned its tuple ids, an offer -> poll cycle
 /// is pure copy-assignment into pre-sized storage and must stay off the heap.

@@ -1,19 +1,18 @@
 // Tests for the batched match path (sim/match_batch.h, DESIGN.md §15):
 // randomized scalar-vs-SIMD hash equivalence across every dispatch tier,
 // CacheStore::lookup_group vs sequential lookup (results AND LRU state),
-// pipeline-on/off and deterministic-mode bit-identity through the emulator,
-// NUMA-aware RETA steering (balance + dispatcher/batch agreement), and the
-// hash-once contract (RxDesc::flow_hash stamped by the dispatcher).
+// scalar-vs-SIMD bit-identity through the emulator, NUMA-aware RETA
+// steering (balance + dispatcher/steer_worker agreement), and the
+// dispatcher's peek/advance consumer API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "analysis/pipelet.h"
 #include "apps/scenarios.h"
+#include "cached_chain.h"
 #include "ir/builder.h"
-#include "opt/transform.h"
 #include "sim/emulator.h"
 #include "sim/match_batch.h"
 #include "sim/nic_model.h"
@@ -21,6 +20,7 @@
 #include "sim/table_state.h"
 #include "trafficgen/workload.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace pipeleon::sim {
 namespace {
@@ -255,40 +255,9 @@ TEST(MatchBatch, PrefetchIsSideEffectFree) {
 trafficgen::FlowSet chain_flows(util::Rng& rng) {
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < kChainLen; ++i) {
-        tuple.push_back({"f" + std::to_string(i), 0, 255});
+        tuple.push_back({util::format("f%d", i), 0, 255});
     }
     return trafficgen::FlowSet::generate(tuple, kFlows, rng);
-}
-
-/// The chain program with a flow cache over its first half — the cache node
-/// is the program root, so the batched probe pipeline engages.
-ir::Program cached_chain() {
-    ir::Program prog = ir::chain_of_exact_tables("p", kChainLen, 2, 1);
-    analysis::PipeletOptions popt;
-    popt.max_length = kChainLen + 2;
-    auto pipelets = analysis::form_pipelets(prog, popt);
-    opt::PipeletPlan plan;
-    plan.pipelet_id = 0;
-    for (std::size_t i = 0; i < pipelets[0].nodes.size(); ++i) {
-        plan.layout.order.push_back(i);
-    }
-    plan.layout.caches = {opt::Segment{0, 2}};
-    plan.layout.cache_config.capacity = 4096;
-    plan.layout.cache_config.max_insert_per_sec = 1e9;
-    return opt::apply_plans(prog, pipelets, {plan});
-}
-
-void pump_batches(Emulator& emu, trafficgen::Workload& wl, int packets,
-                  std::size_t batch_size = 64) {
-    int done = 0;
-    while (done < packets) {
-        std::size_t n = std::min<std::size_t>(
-            batch_size, static_cast<std::size_t>(packets - done));
-        PacketBatch batch = wl.next_batch(emu.fields(), n);
-        BatchResult r = emu.process_batch(batch);
-        ASSERT_EQ(r.results.size(), n);
-        done += static_cast<int>(n);
-    }
 }
 
 void expect_counters_identical(const profile::RawCounters& a,
@@ -312,70 +281,10 @@ void expect_latency_identical(const util::RunningStats& a,
     EXPECT_EQ(a.max(), b.max());
 }
 
-/// The batched probe pipeline never changes results: pipeline on vs off at
-/// the same worker count — counters AND float latency accumulation are
-/// bit-identical (hash reuse + prefetch only).
-TEST(MatchBatch, PipelineOnOffBitIdentical) {
-    ir::Program prog = cached_chain();
-    profile::InstrumentationConfig instr;
-    instr.sampling_rate = 1.0 / 4.0;
-    instr.enabled = true;
-    Emulator on(bluefield2_model(), prog, instr);
-    Emulator off(bluefield2_model(), prog, instr);
-    on.set_worker_count(4);
-    off.set_worker_count(4);
-    off.set_match_pipeline(false);
-    EXPECT_TRUE(on.match_pipeline());
-    EXPECT_FALSE(off.match_pipeline());
-
-    util::Rng rng(7);
-    trafficgen::FlowSet flows = chain_flows(rng);
-    apps::install_flow_entries(on, flows);
-    apps::install_flow_entries(off, flows);
-
-    trafficgen::Workload wl_a(flows, trafficgen::Locality::Zipf, 1.1, 3);
-    trafficgen::Workload wl_b(flows, trafficgen::Locality::Zipf, 1.1, 3);
-    pump_batches(on, wl_a, 4000);
-    pump_batches(off, wl_b, 4000);
-
-    EXPECT_EQ(on.packets_processed(), off.packets_processed());
-    expect_counters_identical(on.read_counters(), off.read_counters());
-    expect_latency_identical(on.latency_stats(), off.latency_stats());
-}
-
-/// Deterministic mode stays bit-identical to the scalar process() loop with
-/// the pipeline knob on (deterministic batches take the sequential path
-/// regardless), over the cached program where the pipeline would engage.
-TEST(MatchBatch, DeterministicMatchesScalarWithPipelineOn) {
-    ir::Program prog = cached_chain();
-    Emulator scalar(bluefield2_model(), prog, {});
-    Emulator batched(bluefield2_model(), prog, {});
-    batched.set_worker_count(4);
-    batched.set_deterministic(true);
-    batched.set_match_pipeline(true);
-
-    util::Rng rng(11);
-    trafficgen::FlowSet flows = chain_flows(rng);
-    apps::install_flow_entries(scalar, flows);
-    apps::install_flow_entries(batched, flows);
-
-    trafficgen::Workload wl_a(flows, trafficgen::Locality::Zipf, 1.1, 3);
-    trafficgen::Workload wl_b(flows, trafficgen::Locality::Zipf, 1.1, 3);
-    for (int i = 0; i < 3000; ++i) {
-        Packet pkt = wl_a.next_packet(scalar.fields());
-        scalar.process(pkt);
-    }
-    pump_batches(batched, wl_b, 3000);
-
-    EXPECT_EQ(scalar.packets_processed(), batched.packets_processed());
-    expect_counters_identical(scalar.read_counters(), batched.read_counters());
-    expect_latency_identical(scalar.latency_stats(), batched.latency_stats());
-}
-
 /// Forcing the scalar hash tier must not change emulator results either
 /// (the SIMD kernels are bit-identical, so steering and probes agree).
 TEST(MatchBatch, ScalarTierMatchesSimdTierThroughEmulator) {
-    ir::Program prog = cached_chain();
+    ir::Program prog = test_support::cached_chain("p", kChainLen);
     util::Rng rng(13);
     trafficgen::FlowSet flows = chain_flows(rng);
 
@@ -385,12 +294,13 @@ TEST(MatchBatch, ScalarTierMatchesSimdTierThroughEmulator) {
         emu.set_worker_count(4);
         apps::install_flow_entries(emu, flows);
         trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 3);
-        // Note: worker scratch MatchBatchers snapshot the tier at
-        // construction, which happens after set_worker_count above.
+        // Note: worker scratch and dispatcher MatchBatchers snapshot the
+        // tier at construction, which happens after set_worker_count above.
+        RssDispatcher io = emu.make_rings();
         int done = 0;
         while (done < 2000) {
-            PacketBatch batch = wl.next_batch(emu.fields(), 64);
-            emu.process_batch(batch);
+            io.dispatch_batch(wl.next_batch(emu.fields(), 64));
+            emu.poll(io);
             done += 64;
         }
         auto counters = emu.read_counters();
@@ -408,7 +318,7 @@ TEST(MatchBatch, ScalarTierMatchesSimdTierThroughEmulator) {
 // ------------------------------------------------------ steering / RETA
 
 /// With several workers the RETA must (a) cover the bucket space in
-/// contiguous equal blocks (balance), and (b) agree with batch steering for
+/// contiguous equal blocks (balance), and (b) agree with steer_worker for
 /// every packet the dispatcher routes.
 TEST(MatchBatch, RetaBalancedAndDispatcherAgreesWithBatchSteering) {
     ir::Program prog = ir::chain_of_exact_tables("p", kChainLen, 2, 1);
@@ -442,11 +352,10 @@ TEST(MatchBatch, RetaBalancedAndDispatcherAgreesWithBatchSteering) {
     }
 }
 
-/// The dispatcher stamps each descriptor with the steering hash it
-/// computed, so downstream consumers never re-hash (the hash-once fix),
-/// and the two-phase peek/advance consumer API exposes exactly the pending
-/// descriptors.
-TEST(MatchBatch, DispatcherStampsFlowHashAndPeekAdvanceDrains) {
+/// The two-phase peek/advance consumer API exposes exactly the pending
+/// descriptors, each a copy of the packet dispatched with that arrival seq,
+/// on the queue its steering hash picks.
+TEST(MatchBatch, DispatcherPeekAdvanceDrainsEachQueue) {
     FieldTable fields;
     const FieldId f0 = fields.intern("a");
     const FieldId f1 = fields.intern("b");
@@ -472,8 +381,9 @@ TEST(MatchBatch, DispatcherStampsFlowHashAndPeekAdvanceDrains) {
             for (std::size_t i = 0; i < g; ++i) {
                 const RxDesc& d = *group[i];
                 const Packet& orig = sent[static_cast<std::size_t>(d.seq)];
-                EXPECT_EQ(d.flow_hash,
-                          rss_hash(orig, steer.data(), steer.size()))
+                EXPECT_EQ(d.packet.get(f0), orig.get(f0)) << "seq " << d.seq;
+                EXPECT_EQ(d.packet.get(f1), orig.get(f1)) << "seq " << d.seq;
+                EXPECT_EQ(rss_hash(orig, steer.data(), steer.size()) % 2, q)
                     << "seq " << d.seq;
                 ++seen;
             }

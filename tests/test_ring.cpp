@@ -1,18 +1,20 @@
-// tests/test_ring.cpp — the descriptor-ring I/O path (ISSUE 6): SPSC ring
-// correctness (wraparound, drop-on-full accounting, two-thread stress for
-// TSan), RSS dispatch agreement with batch steering, poll semantics
-// (completion conservation, cycle budgets leaving backlog, epoch refresh,
+// tests/test_ring.cpp — the descriptor-ring I/O path, the data
+// plane's only batch ingress: SPSC ring correctness (wraparound,
+// drop-on-full accounting, two-thread stress for TSan), RSS dispatch
+// agreement with steer_worker, poll semantics (completion conservation,
+// cycle budgets and full TX rings leaving backlog, epoch refresh,
 // worker-count-mismatch fallback), offered-load pacing, and the
-// deterministic-mode bit-identity guarantee against the pre-ring scalar
-// path.
+// ring-vs-process() equivalence over every poll mode.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/scenarios.h"
+#include "cached_chain.h"
 #include "ir/builder.h"
 #include "sim/descriptor_ring.h"
 #include "sim/emulator.h"
@@ -85,7 +87,8 @@ TEST(DescriptorRing, ConsumeHonorsMaxAndEarlyStop) {
 /// Two-thread SPSC stress, the TSan target: one producer pushing a rising
 /// sequence (spinning on full — this test checks ordering, not the drop
 /// policy), one consumer asserting it reads exactly 0,1,2,... with
-/// acquire/release visibility on every slot.
+/// acquire/release visibility on every slot, through both consumer APIs
+/// (consume, and the poll lanes' peek/advance).
 TEST(DescriptorRing, SpscStressOrderedUnderConcurrency) {
     constexpr std::uint64_t kItems = 200000;
     DescriptorRing<std::uint64_t> ring(64);
@@ -98,12 +101,21 @@ TEST(DescriptorRing, SpscStressOrderedUnderConcurrency) {
         }
     });
     std::uint64_t expect = 0;
+    std::uint64_t* group[8];
     while (expect < kItems) {
-        ring.consume([&](std::uint64_t& v) {
-            if (v != expect) fail.store(true);
+        ring.consume(
+            [&](std::uint64_t& v) {
+                if (v != expect) fail.store(true);
+                ++expect;
+                return true;
+            },
+            8);
+        const std::size_t n = ring.peek(group, 8);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (*group[i] != expect) fail.store(true);
             ++expect;
-            return true;
-        });
+        }
+        ring.advance(n);
     }
     producer.join();
     EXPECT_FALSE(fail.load());
@@ -155,8 +167,8 @@ TEST(RssDispatch, SameFlowSameQueueMatchesBatchSteering) {
     for (const Packet& pkt : batch) {
         const int q = io.dispatch(pkt);
         ASSERT_GE(q, 0);
-        // Ring dispatch and the batch path's steering agree, packet for
-        // packet — the same-flow -> same-worker-shard invariant.
+        // Ring dispatch and steer_worker agree, packet for packet — the
+        // same-flow -> same-worker-shard invariant.
         EXPECT_EQ(q, emu.steer_worker(pkt));
     }
     EXPECT_EQ(io.stats().enqueued, 256u);
@@ -237,6 +249,41 @@ TEST(RingPoll, CycleBudgetLeavesBacklogThenDrains) {
     }
     EXPECT_EQ(total, 200u);
     EXPECT_TRUE(io.queue(0).rx().empty());
+}
+
+/// No lost completions: a lane stops while its queue's TX ring is full and
+/// leaves the rest as RX backlog, so over repeated polls every dequeued
+/// descriptor completes and every offered packet is completed, dropped at
+/// RX, or still queued.
+TEST(RingPoll, FullTxRingLeavesBacklogNotLostCompletions) {
+    for (int workers : {1, 4}) {
+        SCOPED_TRACE(workers);
+        Emulator emu(nic(), chain_program(), {});
+        emu.set_worker_count(workers);
+        RingConfig cfg;
+        cfg.rx_capacity = 64;
+        cfg.tx_capacity = 16;
+        RssDispatcher io = emu.make_rings(cfg);
+        ASSERT_EQ(io.queue_count(), static_cast<std::size_t>(workers));
+
+        trafficgen::FlowSet flows = make_flows(64, 19);
+        trafficgen::Workload wl(flows, trafficgen::Locality::Uniform, 0.0, 20);
+        io.dispatch_batch(wl.next_batch(emu.fields(), 256));
+
+        std::uint64_t completed = 0;
+        for (int polls = 0; polls < 64 && io.stats().depth > 0; ++polls) {
+            const BatchResult out = emu.poll(io);
+            EXPECT_LE(out.ring_completed, 16 * io.queue_count());
+            completed += out.ring_completed;
+            const RingStats s = io.stats();
+            EXPECT_EQ(s.dequeued, completed);
+            EXPECT_EQ(s.offered(), completed + s.dropped + s.depth);
+            EXPECT_EQ(out.ring_backlog, s.depth);
+        }
+        EXPECT_EQ(io.stats().depth, 0u);
+        EXPECT_EQ(completed, io.stats().enqueued);
+        EXPECT_EQ(emu.packets_processed(), completed);
+    }
 }
 
 TEST(RingPoll, QueueCyclesReflectVirtualWait) {
@@ -350,69 +397,121 @@ TEST(OfferedLoad, OfferDispatchesAndAccountsDrops) {
               out.ring_completed + io.stats().dropped + io.stats().depth);
 }
 
-// ---------------------------------------------------------- determinism
+// ----------------------------------------------- equivalence (the ORACLE)
 
-/// The acceptance-criterion guarantee: in deterministic mode the ring path
-/// (single in-order queue) is bit-identical to the pre-ring scalar loop —
-/// same packets, same counters, same float accumulation order, so
-/// latency_stats() compares equal on every bit.
-TEST(RingDeterminism, BitIdenticalToScalarPath) {
-    Program p = chain_program();
+enum class EquivProgram : int { Plain, Cached, CachedSampled };
+enum class EquivMode : int { OneWorker, Deterministic, Parallel };
+/// Two ints, no padding: the case names stay byte-stable.
+struct EquivCase {
+    EquivProgram program;
+    EquivMode mode;
+};
+
+class RingVsScalar : public ::testing::TestWithParam<EquivCase> {};
+
+/// The ring path against the process() oracle over the same packets and the
+/// same entry inserts. One worker and four deterministic workers (one
+/// in-order queue) match on every bit, latency sums included. Four parallel
+/// workers merge per-worker shards in worker order, so their integer
+/// counters match and only the float accumulation order may differ.
+TEST_P(RingVsScalar, MatchesProcessLoop) {
+    const EquivCase c = GetParam();
     profile::InstrumentationConfig inst;
-    inst.enabled = true;
-    inst.sampling_rate = 1.0;
+    if (c.program == EquivProgram::CachedSampled) inst.sampling_rate = 1.0 / 8.0;
+    const Program p = c.program == EquivProgram::Plain
+                          ? chain_program()
+                          : test_support::cached_chain("ring_p", 4);
+    Emulator ring(nic(), p, inst);
+    Emulator ref(nic(), p, inst);
+    if (c.mode != EquivMode::OneWorker) ring.set_worker_count(4);
+    ring.set_deterministic(c.mode == EquivMode::Deterministic);
+    RssDispatcher io = ring.make_rings();
+    ASSERT_EQ(io.queue_count(), c.mode == EquivMode::Parallel ? 4u : 1u);
 
-    Emulator ring_emu(nic(), p, inst);
-    Emulator ref_emu(nic(), p, inst);
-    for (Emulator* e : {&ring_emu, &ref_emu}) {
-        e->set_worker_count(4);
-        e->set_deterministic(true);
+    // t0..t2 learn every flow up front. t3 learns eight flows (action 1)
+    // before each burst, so every insert moves live traffic off its default.
+    const trafficgen::FlowSet flows = make_flows(64, 11);
+    for (Emulator* e : {&ring, &ref}) {
+        for (const char* t : {"t0", "t1", "t2"}) {
+            std::string field = "f";
+            field += t + 1;
+            for (std::size_t f = 0; f < flows.size(); ++f) {
+                e->insert_entry(t, flows.exact_entry(f, {field}, 0));
+            }
+        }
     }
-
-    trafficgen::FlowSet flows = make_flows(64, 11);
-    apps::install_flow_entries(ring_emu, flows);
-    apps::install_flow_entries(ref_emu, flows);
-
-    // Identical packet sequences from identically seeded workloads.
     trafficgen::Workload ring_wl(flows, trafficgen::Locality::Zipf, 1.1, 17);
     trafficgen::Workload ref_wl(flows, trafficgen::Locality::Zipf, 1.1, 17);
-
-    RssDispatcher io = ring_emu.make_rings();
-    ASSERT_EQ(io.queue_count(), 1u);  // deterministic mode: in-order config
-
-    BatchResult out;
-    for (int round = 0; round < 8; ++round) {
-        PacketBatch batch = ring_wl.next_batch(ring_emu.fields(), 100);
-        ASSERT_EQ(io.dispatch_batch(batch), 100u);
-        ring_emu.poll(io, out);
-        ASSERT_EQ(out.ring_completed, 100u);
-
-        PacketBatch ref_batch = ref_wl.next_batch(ref_emu.fields(), 100);
-        for (Packet& pkt : ref_batch) ref_emu.process(pkt);
+    for (std::size_t burst = 0; burst < 8; ++burst) {
+        for (std::size_t f = 8 * burst; f < 8 * burst + 8; ++f) {
+            const ir::TableEntry e = flows.exact_entry(f, {"f3"}, 1);
+            EXPECT_EQ(ring.insert_entry("t3", e), ref.insert_entry("t3", e));
+        }
+        ASSERT_EQ(io.dispatch_batch(ring_wl.next_batch(ring.fields(), 100)),
+                  100u);
+        ASSERT_EQ(ring.poll(io).ring_completed, 100u);
+        for (Packet& pkt : ref_wl.next_batch(ref.fields(), 100)) {
+            ref.process(pkt);
+        }
     }
 
-    const util::RunningStats ring_lat = ring_emu.latency_stats();
-    const util::RunningStats ref_lat = ref_emu.latency_stats();
-    EXPECT_EQ(ring_lat.count(), ref_lat.count());
-    // Bit-equality, not near-equality: the accumulation order must match.
-    EXPECT_EQ(ring_lat.sum(), ref_lat.sum());
-    EXPECT_EQ(ring_lat.mean(), ref_lat.mean());
-    EXPECT_EQ(ring_lat.min(), ref_lat.min());
-    EXPECT_EQ(ring_lat.max(), ref_lat.max());
-
-    // Sampled P4 counters agree exactly too.
-    const profile::RawCounters a = ring_emu.read_counters();
-    const profile::RawCounters b = ref_emu.read_counters();
-    ASSERT_EQ(a.action_hits.size(), b.action_hits.size());
-    for (std::size_t i = 0; i < a.action_hits.size(); ++i) {
-        EXPECT_EQ(a.action_hits[i], b.action_hits[i]) << "node " << i;
-        EXPECT_EQ(a.misses[i], b.misses[i]) << "node " << i;
+    const profile::RawCounters a = ring.read_counters();
+    const profile::RawCounters b = ref.read_counters();
+    const auto t3 = static_cast<std::size_t>(ref.program().find_table("t3"));
+    EXPECT_GT(b.action_hits[t3][1], 0u) << "the inserts never took effect";
+    if (c.program != EquivProgram::Plain) {
+        std::uint64_t hits = 0;
+        for (std::uint64_t h : b.cache_hits) hits += h;
+        EXPECT_GT(hits, 0u) << "the cache was never exercised";
+        EXPECT_FALSE(b.replays.empty());
     }
-    EXPECT_EQ(ring_emu.packets_processed(), ref_emu.packets_processed());
-    EXPECT_EQ(ring_emu.packets_dropped(), ref_emu.packets_dropped());
+    EXPECT_EQ(a.action_hits, b.action_hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.branch_true, b.branch_true);
+    EXPECT_EQ(a.branch_false, b.branch_false);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.cache_misses, b.cache_misses);
+    EXPECT_EQ(a.inserts_dropped, b.inserts_dropped);
+    EXPECT_EQ(a.replays, b.replays);
+    EXPECT_EQ(a.entries, b.entries);
+    EXPECT_EQ(ring.packets_processed(), ref.packets_processed());
+    EXPECT_EQ(ring.packets_dropped(), ref.packets_dropped());
+    const util::RunningStats la = ring.latency_stats();
+    const util::RunningStats lb = ref.latency_stats();
+    EXPECT_EQ(la.count(), lb.count());
+    if (c.mode != EquivMode::Parallel) {
+        // Bit-equality, not near-equality: the accumulation order matches.
+        EXPECT_EQ(la.sum(), lb.sum());
+        EXPECT_EQ(la.min(), lb.min());
+        EXPECT_EQ(la.max(), lb.max());
+    }
 }
 
-/// Same check through telemetry: ring.* metrics account the poll traffic.
+std::string equiv_case_name(const ::testing::TestParamInfo<EquivCase>& info) {
+    static const char* const kPrograms[] = {"Plain", "Cached", "CachedSampled"};
+    static const char* const kModes[] = {"OneWorker", "Deterministic",
+                                         "Parallel"};
+    std::string name = kPrograms[static_cast<int>(info.param.program)];
+    name += '_';
+    name += kModes[static_cast<int>(info.param.mode)];
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ring, RingVsScalar,
+    ::testing::Values(
+        EquivCase{EquivProgram::Plain, EquivMode::OneWorker},
+        EquivCase{EquivProgram::Plain, EquivMode::Deterministic},
+        EquivCase{EquivProgram::Plain, EquivMode::Parallel},
+        EquivCase{EquivProgram::Cached, EquivMode::OneWorker},
+        EquivCase{EquivProgram::Cached, EquivMode::Deterministic},
+        EquivCase{EquivProgram::Cached, EquivMode::Parallel},
+        EquivCase{EquivProgram::CachedSampled, EquivMode::OneWorker},
+        EquivCase{EquivProgram::CachedSampled, EquivMode::Deterministic},
+        EquivCase{EquivProgram::CachedSampled, EquivMode::Parallel}),
+    equiv_case_name);
+
+/// The ring.* metrics account the poll traffic.
 TEST(RingTelemetry, RingMetricsTrackPollAccounting) {
     if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
     Program p = chain_program();

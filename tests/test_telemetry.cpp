@@ -320,7 +320,7 @@ TEST(BenchReport, CsvSeriesFormat) {
 #if PIPELEON_TELEMETRY
 TEST(EmulatorTelemetry, LatencyHistogramMatchesBatchResults) {
     // The emulator's per-packet histogram must agree with the latencies the
-    // batch API itself returns.
+    // polls themselves return.
     ir::Program prog = ir::chain_of_exact_tables("t", 4, 2, 1);
     sim::Emulator emu(sim::bluefield2_model(), prog, {});
     emu.set_worker_count(3);
@@ -333,9 +333,10 @@ TEST(EmulatorTelemetry, LatencyHistogramMatchesBatchResults) {
 
     util::RunningStats expected;
     std::uint64_t n = 0;
+    sim::RssDispatcher io = emu.make_rings();
     for (int b = 0; b < 5; ++b) {
-        sim::PacketBatch batch = wl.next_batch(emu.fields(), 200);
-        sim::BatchResult r = emu.process_batch(batch);
+        io.dispatch_batch(wl.next_batch(emu.fields(), 200));
+        sim::BatchResult r = emu.poll(io);
         for (const sim::ProcessResult& pr : r.results) {
             expected.add(pr.cycles);
             ++n;
@@ -368,8 +369,9 @@ TEST(EmulatorTelemetry, EpochAndDropCountersTrack) {
     std::vector<trafficgen::FieldRange> tuple = {{"f0", 0, 3}, {"f1", 0, 3}};
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 8, rng);
     trafficgen::Workload wl(flows, trafficgen::Locality::Uniform, 0.0, 1);
-    sim::PacketBatch batch = wl.next_batch(emu.fields(), 50);
-    emu.process_batch(batch);
+    sim::RssDispatcher io = emu.make_rings();
+    io.dispatch_batch(wl.next_batch(emu.fields(), 50));
+    emu.poll(io);
 
     telemetry::MetricsSnapshot snap = emu.telemetry_snapshot();
     EXPECT_EQ(snap.counter("sim.epochs"), 1u);

@@ -180,6 +180,34 @@ TEST(PinnedPool, StressRapidBarriersAndRebuilds) {
     }
 }
 
+// Four workers pinned to one CPU wake one at a time, so most runs find some
+// lanes already taken by a worker that woke earlier. Every lane must still
+// run exactly once per run, and run() must return only after all of them
+// (`last` is plain memory: the barrier alone orders it, which TSan checks).
+TEST(PinnedPool, EachLaneRunsOncePerRunWhenWorkersShareOneCpu) {
+    using pipeleon::sim::WorkerPool;
+    using pipeleon::sim::WorkerPoolOptions;
+    Topology one_cpu = Topology::from_root(fixture("single_core"));
+    WorkerPoolOptions opts;
+    opts.topology = &one_cpu;
+    constexpr int kWorkers = 4;
+    WorkerPool pool(kWorkers, opts);
+    std::vector<int> last(kWorkers, -1);
+    std::atomic<int> out_of_turn{0};
+    for (int round = 0; round < 2000; ++round) {
+        pool.run([&](int lane) {
+            int& prev = last[static_cast<std::size_t>(lane)];
+            if (prev != round - 1) out_of_turn.fetch_add(1);
+            prev = round;
+        });
+        for (int lane = 0; lane < kWorkers; ++lane) {
+            ASSERT_EQ(last[static_cast<std::size_t>(lane)], round)
+                << "lane " << lane;
+        }
+    }
+    EXPECT_EQ(out_of_turn.load(), 0);
+}
+
 TEST(PinnedPool, ExceptionFromWorkerRethrownAfterBarrier) {
     using pipeleon::sim::WorkerPool;
     WorkerPool pool(3);
