@@ -15,6 +15,7 @@
 #include "cost/model.h"
 #include "ir/builder.h"
 #include "sim/nic_model.h"
+#include "util/strings.h"
 
 using namespace pipeleon;
 
@@ -26,13 +27,12 @@ namespace {
 ir::Program sweep_program(int n, ir::MatchKind kind, int actions, int prims) {
     ir::ProgramBuilder b("sweep");
     for (int i = 0; i < n; ++i) {
-        ir::TableSpec spec("t" + std::to_string(i));
-        spec.key("f" + std::to_string(i), kind);
+        ir::TableSpec spec(util::format("t%d", i));
+        spec.key(util::format("f%d", i), kind);
         for (int a = 0; a < actions; ++a) {
-            spec.noop_action("t" + std::to_string(i) + "_a" + std::to_string(a),
-                             prims);
+            spec.noop_action(util::format("t%d_a%d", i, a), prims);
         }
-        spec.default_to("t" + std::to_string(i) + "_a0");
+        spec.default_to(util::format("t%d_a0", i));
         b.append(spec.build());
     }
     return b.build();
@@ -40,7 +40,7 @@ ir::Program sweep_program(int n, ir::MatchKind kind, int actions, int prims) {
 
 void install_sweep_entries(sim::Emulator& emu, int n, ir::MatchKind kind) {
     for (int i = 0; i < n; ++i) {
-        std::string table = "t" + std::to_string(i);
+        std::string table = util::format("t%d", i);
         switch (kind) {
             case ir::MatchKind::Exact:
                 for (std::uint64_t v = 0; v < 16; ++v) {
@@ -81,7 +81,7 @@ double measure(int n, ir::MatchKind kind, int actions, int prims,
     install_sweep_entries(emu, n, kind);
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < n; ++i) {
-        tuple.push_back({"f" + std::to_string(i), 0, 31});  // ~50% table hits
+        tuple.push_back({util::format("f%d", i), 0, 31});  // ~50% table hits
     }
     util::Rng rng(seed);
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 512, rng);

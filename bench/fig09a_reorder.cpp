@@ -9,6 +9,7 @@
 #include "bench/report.h"
 #include "ir/builder.h"
 #include "sim/nic_model.h"
+#include "util/strings.h"
 
 using namespace pipeleon;
 
@@ -28,9 +29,9 @@ ir::Program program_with_acl_at(int acl_position, int chain_len = 21) {
                          .default_to("acl_allow")
                          .build());
         } else {
-            std::string name = "t" + std::to_string(placed++);
+            std::string name = util::format("t%d", placed++);
             b.append(ir::TableSpec(name)
-                         .key("f" + std::to_string(placed))
+                         .key(util::format("f%d", placed))
                          .noop_action(name + "_a0", 1)
                          .noop_action(name + "_a1", 1)
                          .default_to(name + "_a0")

@@ -11,6 +11,7 @@
 #include "ir/builder.h"
 #include "opt/transform.h"
 #include "sim/nic_model.h"
+#include "util/strings.h"
 
 using namespace pipeleon;
 
@@ -28,9 +29,9 @@ ir::Program replicated_pipelets(int replicas) {
     ir::ProgramBuilder b("fig9c");
     for (int r = 0; r < replicas; ++r) {
         for (int t = 1; t <= 4; ++t) {
-            std::string name = "r" + std::to_string(r) + "_t" + std::to_string(t);
+            std::string name = util::format("r%d_t%d", r, t);
             b.append(ir::TableSpec(name)
-                         .key("f" + std::to_string(t - 1), ir::MatchKind::Ternary)
+                         .key(util::format("f%d", t - 1), ir::MatchKind::Ternary)
                          .noop_action(name + "_a0", 2)
                          .noop_action(name + "_a1", 2)
                          .default_to(name + "_a0")
@@ -82,8 +83,7 @@ double run_target(const sim::NicModel& nic) {
         // multiple probes (the §3.1 measurement shape).
         for (int r = 0; r < kReplicas; ++r) {
             for (int t = 1; t <= 4; ++t) {
-                std::string name =
-                    "r" + std::to_string(r) + "_t" + std::to_string(t);
+                std::string name = util::format("r%d_t%d", r, t);
                 for (int m = 0; m < 5; ++m) {
                     ir::TableEntry e;
                     e.key = {ir::FieldMatch::ternary(0, 0xFULL << (4 + m))};

@@ -12,6 +12,7 @@
 #include "opt/transform.h"
 #include "runtime/api_mapper.h"
 #include "sim/nic_model.h"
+#include "util/strings.h"
 
 using namespace pipeleon;
 
@@ -23,9 +24,9 @@ ir::Program replicated_pipelets(int replicas) {
     ir::ProgramBuilder b("fig9d");
     for (int r = 0; r < replicas; ++r) {
         for (int t = 1; t <= 4; ++t) {
-            std::string name = "r" + std::to_string(r) + "_t" + std::to_string(t);
+            std::string name = util::format("r%d_t%d", r, t);
             b.append(ir::TableSpec(name)
-                         .key("f" + std::to_string(t - 1))
+                         .key(util::format("f%d", t - 1))
                          .noop_action(name + "_a0", 3)
                          .noop_action(name + "_a1", 3)
                          .default_to(name + "_a0")
@@ -80,8 +81,7 @@ double run_target(const sim::NicModel& nic) {
         // so traffic always hits and the merged cache covers it.
         for (int r = 0; r < kReplicas; ++r) {
             for (int t = 1; t <= 4; ++t) {
-                std::string name =
-                    "r" + std::to_string(r) + "_t" + std::to_string(t);
+                std::string name = util::format("r%d_t%d", r, t);
                 for (std::uint64_t v = 0; v < 12; ++v) {
                     ir::TableEntry e;
                     e.key = {ir::FieldMatch::exact(v)};

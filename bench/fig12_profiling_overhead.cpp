@@ -8,6 +8,7 @@
 #include "bench/report.h"
 #include "ir/builder.h"
 #include "sim/nic_model.h"
+#include "util/strings.h"
 
 using namespace pipeleon;
 
@@ -20,7 +21,7 @@ double mean_cycles(const sim::NicModel& nic, int tables, int prims,
     util::Rng rng(9);
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < tables; ++i) {
-        tuple.push_back({"f" + std::to_string(i), 0, 31});
+        tuple.push_back({util::format("f%d", i), 0, 31});
     }
     trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 256, rng);
     apps::install_flow_entries(emu, flows);

@@ -9,6 +9,7 @@
 #include "bench/report.h"
 #include "ir/builder.h"
 #include "sim/nic_model.h"
+#include "util/strings.h"
 
 using namespace pipeleon;
 
@@ -23,8 +24,8 @@ ir::Program copied_program(int copies) {
     // Fast path: the four hw tables only.
     ir::NodeId fast_head = ir::kNoNode, fast_tail = ir::kNoNode;
     for (int i = 1; i <= 4; ++i) {
-        ir::NodeId id = b.add(ir::TableSpec("fast_hw" + std::to_string(i))
-                                  .key("h" + std::to_string(i))
+        ir::NodeId id = b.add(ir::TableSpec(util::format("fast_hw%d", i))
+                                  .key(util::format("h%d", i))
                                   .noop_action("a", 1)
                                   .build());
         if (fast_head == ir::kNoNode) fast_head = id;
@@ -36,12 +37,12 @@ ir::Program copied_program(int copies) {
     ir::NodeId slow_head = ir::kNoNode, slow_tail = ir::kNoNode;
     std::vector<ir::NodeId> slow_nodes;
     for (int i = 1; i <= 4; ++i) {
-        ir::NodeId hw = b.add(ir::TableSpec("slow_hw" + std::to_string(i))
-                                  .key("h" + std::to_string(i))
+        ir::NodeId hw = b.add(ir::TableSpec(util::format("slow_hw%d", i))
+                                  .key(util::format("h%d", i))
                                   .noop_action("a", 1)
                                   .build());
-        ir::NodeId sw = b.add(ir::TableSpec("slow_sw" + std::to_string(i))
-                                  .key("s" + std::to_string(i))
+        ir::NodeId sw = b.add(ir::TableSpec(util::format("slow_sw%d", i))
+                                  .key(util::format("s%d", i))
                                   .noop_action("a", 1)
                                   .cpu_only()
                                   .build());
@@ -63,7 +64,7 @@ ir::Program copied_program(int copies) {
         if (!n.table.asic_supported) n.core = ir::CoreKind::Cpu;
     }
     for (int i = 1; i <= copies; ++i) {
-        ir::NodeId id = p.find_table("slow_hw" + std::to_string(i));
+        ir::NodeId id = p.find_table(util::format("slow_hw%d", i));
         p.node(id).core = ir::CoreKind::Cpu;
     }
     return p;

@@ -1,16 +1,19 @@
-// bench/micro_match.cpp — the batched match path's probe economics
-// (ISSUE 10): scalar lookup() vs the group-of-8 hash->prefetch->probe
-// pipeline (lookup_group) on a warm flat-LRU CacheStore sized well past L2,
-// at 1/8/64-key group sizes and across a hit-rate sweep, plus the raw hash
-// kernel throughput per SIMD tier and the end-to-end emulator rate with the
-// pipeline running in its poll lanes. Headline metrics:
-//   probe_ns_per_key        — batched group-8 probe, 100% hit (lower better)
+// bench/micro_match.cpp — the batched match path's probe economics:
+// scalar lookup() vs a poll lane's probe sequence (hash_group over the
+// group's keys, prefetch every home index cell, then lookup_hashed per key
+// in order) on a warm flat-LRU CacheStore sized well past L2, at
+// prefetch depths 1/8/64 and across a hit-rate sweep, plus the end-to-end
+// emulator rate with the sequence running in its poll lanes.
+// Headline metrics:
+//   probe_ns_per_key        — the lane sequence at depth 8, 100% hit
+//                             (lower better)
 //   probe_ns_per_key_scalar — the sequential lookup() baseline
 //   probe_speedup           — scalar / batched (acceptance floor: 1.3x)
 //   allocs_per_batch        — heap allocations per steady-state probe group
 //                             (counted by this binary's operator new hook;
 //                             anything but 0 fails the run with exit 1)
 // Emits BENCH_micro_match.json (pipeleon.bench_report/1).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -107,7 +110,6 @@ sim::KeyVec make_key(std::uint64_t k) {
 struct ProbeSet {
     sim::CacheStore store;
     std::vector<sim::KeyVec> keys;        ///< [0, live) present, rest absent
-    std::vector<std::uint64_t> hashes;    ///< KeyVecHash of keys[i]
     std::size_t live = 0;
 
     explicit ProbeSet(std::size_t capacity, std::size_t live_keys,
@@ -120,7 +122,6 @@ struct ProbeSet {
           }()),
           live(live_keys) {
         keys.reserve(live_keys + miss_keys);
-        hashes.reserve(live_keys + miss_keys);
         for (std::uint64_t k = 0; k < live_keys + miss_keys; ++k) {
             sim::KeyVec key = make_key(k);
             if (k < live_keys) {
@@ -131,7 +132,6 @@ struct ProbeSet {
                 e.steps.push_back(step);
                 store.insert(key, e, 0.0);
             }
-            hashes.push_back(sim::CacheStore::key_hash(key));
             keys.push_back(std::move(key));
         }
     }
@@ -169,45 +169,42 @@ double measure_scalar(ProbeSet& ps, const std::vector<std::uint32_t>& idx,
            (static_cast<double>(rounds) * static_cast<double>(idx.size()));
 }
 
-/// Batched pipeline at group size `group` (multiple of 8, or 1): hash a
-/// group with key_hash8, prefetch every target index cell, then resolve
-/// with lookup_group while the loads are in flight. group == 1 isolates
-/// the hash-split overhead (lookup_hashed with no grouping).
+/// A key's words as fields 0..n, the way hash_group reads a packet.
+struct KeyFields {
+    const sim::KeyVec& key;
+    std::uint64_t get(sim::FieldId f) const {
+        return key[static_cast<std::size_t>(f)];
+    }
+};
+
+/// A poll lane's probe sequence at prefetch depth `group` (1, 8 or 64):
+/// hash the group's keys with hash_group, kHashGroup at a time, prefetch
+/// every home index cell, then lookup_hashed each key in order. group == 1
+/// isolates the cost of splitting the hash from the probe.
 double measure_batched(ProbeSet& ps, const std::vector<std::uint32_t>& idx,
-                       int rounds, std::size_t group, sim::SimdTier tier) {
+                       int rounds, std::size_t group) {
     constexpr std::size_t kMaxGroup = 64;
+    const sim::FieldId fields[kKeyFields] = {0, 1};
     std::uint64_t hits = 0;
     Clock::time_point t0 = Clock::now();
     for (int r = 0; r < rounds; ++r) {
         for (std::size_t base = 0; base + group <= idx.size();
              base += group) {
-            if (group == 1) {
-                const sim::KeyVec& key = ps.keys[idx[base]];
-                const std::uint64_t h = sim::CacheStore::key_hash(key);
-                hits += ps.store.lookup_hashed(key, h) != nullptr;
-                continue;
-            }
-            const sim::KeyVec* keys[kMaxGroup];
             std::uint64_t hashes[kMaxGroup];
             for (std::size_t g = 0; g < group; g += sim::kHashGroup) {
-                // Field-major gather + one SIMD pass per 8 lanes.
-                std::uint64_t words[kKeyFields * sim::kHashGroup];
-                for (std::size_t lane = 0; lane < sim::kHashGroup; ++lane) {
-                    const sim::KeyVec& key = ps.keys[idx[base + g + lane]];
-                    keys[g + lane] = &key;
-                    for (std::size_t f = 0; f < kKeyFields; ++f) {
-                        words[f * sim::kHashGroup + lane] = key[f];
-                    }
-                }
-                sim::key_hash8(words, kKeyFields, hashes + g, tier);
+                sim::hash_group(
+                    [&](std::size_t lane) {
+                        return KeyFields{ps.keys[idx[base + g + lane]]};
+                    },
+                    std::min(sim::kHashGroup, group - g), fields, kKeyFields,
+                    hashes + g);
             }
             for (std::size_t i = 0; i < group; ++i) {
                 ps.store.prefetch(hashes[i]);
             }
-            const sim::CacheStore::CacheEntry* out[kMaxGroup];
-            ps.store.lookup_group(keys, hashes, group, out);
             for (std::size_t i = 0; i < group; ++i) {
-                hits += out[i] != nullptr;
+                hits += ps.store.lookup_hashed(ps.keys[idx[base + i]],
+                                               hashes[i]) != nullptr;
             }
         }
     }
@@ -215,31 +212,6 @@ double measure_batched(ProbeSet& ps, const std::vector<std::uint32_t>& idx,
     if (hits == 0xdeadbeef) std::printf("unreachable\n");
     return std::chrono::duration<double, std::nano>(t1 - t0).count() /
            (static_cast<double>(rounds) * static_cast<double>(idx.size()));
-}
-
-/// Raw hash kernel throughput (no probe): ns/key for key_hash8 at `tier`.
-double measure_hash_ns(ProbeSet& ps, int rounds, sim::SimdTier tier) {
-    std::uint64_t sink = 0;
-    const std::size_t n = ps.keys.size() & ~(sim::kHashGroup - 1);
-    Clock::time_point t0 = Clock::now();
-    for (int r = 0; r < rounds; ++r) {
-        for (std::size_t base = 0; base < n; base += sim::kHashGroup) {
-            std::uint64_t words[kKeyFields * sim::kHashGroup];
-            for (std::size_t lane = 0; lane < sim::kHashGroup; ++lane) {
-                const sim::KeyVec& key = ps.keys[base + lane];
-                for (std::size_t f = 0; f < kKeyFields; ++f) {
-                    words[f * sim::kHashGroup + lane] = key[f];
-                }
-            }
-            std::uint64_t h[sim::kHashGroup];
-            sim::key_hash8(words, kKeyFields, h, tier);
-            sink += h[0] ^ h[7];
-        }
-    }
-    Clock::time_point t1 = Clock::now();
-    if (sink == 0xdeadbeef) std::printf("unreachable\n");
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           (static_cast<double>(rounds) * static_cast<double>(n));
 }
 
 /// The chain program with a flow cache over its first half — the cache node
@@ -292,12 +264,6 @@ int main() {
     const int kRounds = quick ? 8 : 40;
     const int kBatches = quick ? 40 : 400;
 
-    const sim::SimdTier tier = sim::simd_tier();
-    bench::section("simd dispatch");
-    std::printf("cpu tier: %s, resolved tier: %s\n",
-                sim::simd_tier_name(sim::cpu_simd_tier()),
-                sim::simd_tier_name(tier));
-
     ProbeSet ps(kCapacity, kLive, kMissPool);
 
     bench::Reporter rep("micro_match", sim::bluefield2_model());
@@ -305,26 +271,15 @@ int main() {
     rep.param("live_keys", static_cast<double>(kLive));
     rep.param("key_fields", static_cast<double>(kKeyFields));
     rep.param("stream_len", static_cast<double>(kStream));
-    rep.param("simd_tier", sim::simd_tier_name(tier));
 
-    bench::section("hash kernel throughput (ns/key)");
-    const double hash_scalar =
-        measure_hash_ns(ps, kRounds, sim::SimdTier::Scalar);
-    const double hash_simd = measure_hash_ns(ps, kRounds, tier);
-    std::printf("scalar: %6.2f   %s: %6.2f   (%.2fx)\n", hash_scalar,
-                sim::simd_tier_name(tier), hash_simd,
-                hash_scalar / hash_simd);
-    rep.metric("hash_ns_per_key_scalar", hash_scalar);
-    rep.metric("hash_ns_per_key_simd", hash_simd);
-
-    bench::section("probe group-size sweep, 100% hit (ns/key)");
+    bench::section("probe prefetch-depth sweep, 100% hit (ns/key)");
     const std::vector<std::uint32_t> warm = ps.stream(kStream, 100, 17);
     g_alloc_count.store(0);
     g_counting.store(true);
     const double scalar_ns = measure_scalar(ps, warm, kRounds);
-    const double g1_ns = measure_batched(ps, warm, kRounds, 1, tier);
-    const double g8_ns = measure_batched(ps, warm, kRounds, 8, tier);
-    const double g64_ns = measure_batched(ps, warm, kRounds, 64, tier);
+    const double g1_ns = measure_batched(ps, warm, kRounds, 1);
+    const double g8_ns = measure_batched(ps, warm, kRounds, 8);
+    const double g64_ns = measure_batched(ps, warm, kRounds, 64);
     g_counting.store(false);
     const std::uint64_t steady_allocs = g_alloc_count.load();
     std::printf("%10s %10s %10s %10s\n", "scalar", "group-1", "group-8",
@@ -346,7 +301,7 @@ int main() {
         const std::vector<std::uint32_t> idx =
             ps.stream(kStream, hit_pct, 23 + hit_pct);
         const double s = measure_scalar(ps, idx, kRounds);
-        const double b = measure_batched(ps, idx, kRounds, 8, tier);
+        const double b = measure_batched(ps, idx, kRounds, 8);
         std::printf("%8d %10.2f %10.2f %9.2fx\n", hit_pct, s, b, s / b);
         char name[48];
         std::snprintf(name, sizeof(name), "probe_ns_scalar_hit%d", hit_pct);

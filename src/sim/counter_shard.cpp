@@ -2,29 +2,17 @@
 
 #include <algorithm>
 
+#include "sim/flow_hash.h"
 #include "telemetry/telemetry.h"
 
 namespace pipeleon::sim {
 
-namespace {
-
-/// SplitMix64 finalizer: avalanches the packed key so linear probing spreads
-/// even though cache/origin ids are tiny sequential integers.
-inline std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-}  // namespace
-
 std::uint64_t& ReplayCounterTable::slot_for(std::uint64_t key) {
     const std::uint64_t stored = key + 1;
     std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix(key)) & mask;
+    // The flow hash's finisher avalanches the packed key, so linear probing
+    // spreads even though cache/origin ids are tiny sequential integers.
+    std::size_t i = static_cast<std::size_t>(flow_hash_finish(key)) & mask;
     while (true) {
         Slot& s = slots_[i];
         if (s.key_plus_one == stored) return s.count;
@@ -44,8 +32,9 @@ void ReplayCounterTable::add(std::uint64_t key, std::uint64_t delta) {
 
 void ReplayCounterTable::prefetch(std::uint64_t key) const {
     if (!slots_.empty()) {
+        const std::size_t mask = slots_.size() - 1;
         __builtin_prefetch(
-            &slots_[static_cast<std::size_t>(mix(key)) & (slots_.size() - 1)]);
+            &slots_[static_cast<std::size_t>(flow_hash_finish(key)) & mask]);
     }
 }
 

@@ -24,6 +24,7 @@ Emulator::Emulator(NicModel model, ir::Program program,
     mid_.drops = metrics_.counter("sim.drops");
     mid_.batches = metrics_.counter("sim.batches");
     mid_.control_ops = metrics_.counter("sim.control_ops");
+    mid_.control_op_failures = metrics_.counter("sim.control_op_failures");
     mid_.epochs = metrics_.counter("sim.epochs");
     mid_.worker_packets = metrics_.counter("sim.worker_packets");
     mid_.workers_gauge = metrics_.gauge("sim.workers");
@@ -235,12 +236,6 @@ void Emulator::init_worker_state(int w) {
     worker_counters_[wi].reset_for(program_);
     scratch_[wi].key.reserve(16);
     scratch_[wi].fills.reserve(8);
-    // Pre-size the SIMD gather buffer for the widest key the lane will hash
-    // (first-touched here like the rest of the scratch).
-    if (front_cache_ != kNoNode) {
-        scratch_[wi].hasher.reserve(
-            compiled_[static_cast<std::size_t>(front_cache_)].key_fields.size());
-    }
 }
 
 void Emulator::populate_worker_state() {
@@ -495,6 +490,10 @@ std::size_t Emulator::drain_queue_unlocked(const std::uint64_t* own_seq,
         int count = 0;
         ReconfigureStats swap_stats;
         bool ok = apply_op_unlocked(op, &count, &swap_stats);
+        if (!ok) {
+            ops_failed_.fetch_add(1, std::memory_order_relaxed);
+            metrics_.add(mid_.control_op_failures, 1);
+        }
         if (own_seq != nullptr && op.seq == *own_seq) {
             if (own_ok != nullptr) *own_ok = ok;
             if (own_count != nullptr) *own_count = count;
@@ -553,6 +552,7 @@ Emulator::ControlPlaneStats Emulator::control_stats() const {
     s.ops_applied_sync = ops_sync_.load(std::memory_order_relaxed);
     s.ops_deferred = ops_deferred_.load(std::memory_order_relaxed);
     s.ops_drained = ops_drained_.load(std::memory_order_relaxed);
+    s.ops_failed = ops_failed_.load(std::memory_order_relaxed);
     s.queue_depth = queue_.depth();
     s.max_queue_depth = queue_.max_depth();
     s.epoch = epoch_.load(std::memory_order_acquire);
@@ -690,9 +690,9 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
             if (n.table.role == TableRole::Cache) {
                 TieredStore& store = *caches[static_cast<std::size_t>(cur)];
                 result.cycles += l_mat * scale;  // the tier-0 probe
-                // Batched pipeline: the group's SIMD pass already hashed this
-                // key and prefetched its slot — reuse the hash instead of
-                // walking the key bytes again. Bit-identical to lookup().
+                // Batched pipeline: the lane's group pass already hashed
+                // this key and prefetched its slot — reuse the hash instead
+                // of hashing the key again. Bit-identical to lookup().
                 const TieredStore::Result tr =
                     hint != nullptr && hint->node == cur
                         ? store.lookup_hashed(key, hint->key_hash)
@@ -863,10 +863,10 @@ void Emulator::service_lane(QueuePair& qp, std::size_t w,
     CacheSet& caches = cache_shards_[w];
     WorkerScratch& scratch = scratch_[w];
     // Batched match pipeline (DESIGN.md §15): when the program root is a
-    // cache, a full group's keys are hashed in one SIMD pass and all eight
-    // slots prefetched; run_packet then probes with the hash in hand
-    // (ProbeHint). TieredStore::lookup is lookup_hashed with the same hash,
-    // so results are exact.
+    // cache, a group's keys are hashed in one pass and all its slots
+    // prefetched; run_packet then probes with the hash in hand (ProbeHint).
+    // TieredStore::lookup is lookup_hashed with the same hash, so results
+    // are exact.
     const CompiledNode* front =
         front_cache_ != kNoNode
             ? &compiled_[static_cast<std::size_t>(front_cache_)]
@@ -882,8 +882,8 @@ void Emulator::service_lane(QueuePair& qp, std::size_t w,
         if (g == 0) break;
         ProbeHint hint;
         const ProbeHint* hp = nullptr;
-        if (front != nullptr && g == kHashGroup) {
-            scratch.hasher.key_group(
+        if (front != nullptr) {
+            hash_group(
                 [&](std::size_t lane) -> const Packet& {
                     return group[lane]->packet;
                 },
@@ -1282,25 +1282,20 @@ Emulator::ReconfigureStats Emulator::reconfigure_incremental_unlocked(
         old_tables.emplace(node.table.name, node.table);
         old_succ.emplace(node.table.name, successor_names(program_, node));
     }
-    std::size_t unchanged = 0;
     for (const Node& node : new_program.nodes()) {
         if (!node.is_table()) continue;
         ++stats.tables_total;
         auto it = old_tables.find(node.table.name);
         auto sit = old_succ.find(node.table.name);
-        if (it != old_tables.end() && it->second == node.table &&
-            sit != old_succ.end() &&
-            sit->second == successor_names(new_program, node)) {
-            ++unchanged;
-        } else {
-            ++stats.tables_changed;
-        }
+        const bool same = it != old_tables.end() && it->second == node.table &&
+                          sit != old_succ.end() &&
+                          sit->second == successor_names(new_program, node);
+        if (!same) ++stats.tables_changed;
     }
     // Removed tables also count as changes.
     for (const auto& [name, table] : old_tables) {
         if (new_program.find_table(name) == kNoNode) ++stats.tables_changed;
     }
-    (void)unchanged;
 
     // Save warm cache stores (one per worker shard) whose definition is
     // unchanged.

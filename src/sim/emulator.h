@@ -24,6 +24,7 @@
 //            - caller-built batches handed straight to the engine
 //            - a switch that turns the group-of-8 probe pipeline off
 //            - per-call steering plans (the dispatcher steers on arrival)
+//            - a second flow hash or a per-CPU kernel choice
 //
 // Control plane (ISSUE 3): every mutation (entry ops, cache invalidation,
 // window resets, worker/instrumentation changes, program swaps) travels a
@@ -42,7 +43,9 @@
 // Mutators return their op's real result when applied synchronously and
 // optimistic defaults when deferred behind a running batch (the op applies
 // at the next boundary; ops addressing tables a queued swap removes degrade
-// to no-ops). Reads (read_counters, entry_count, latency_stats, ...) lock
+// to no-ops). Every op that applies with `false`, whoever drained it, counts
+// in ControlPlaneStats::ops_failed and the sim.control_op_failures counter.
+// Reads (read_counters, entry_count, latency_stats, ...) lock
 // out the data plane (they wait for an in-flight batch, never interleave
 // with one) and observe the state as of the last drain point. Program swaps
 // bump epoch(); an EpochSwap op carries the new program plus its remapped
@@ -153,6 +156,7 @@ public:
         std::uint64_t ops_applied_sync = 0;  ///< drained by their submitter
         std::uint64_t ops_deferred = 0;      ///< returned before application
         std::uint64_t ops_drained = 0;       ///< total ops applied
+        std::uint64_t ops_failed = 0;        ///< applied ops that returned false
         std::size_t queue_depth = 0;         ///< pending right now
         std::size_t max_queue_depth = 0;     ///< backlog high-water mark
         std::uint64_t epoch = 0;             ///< program swaps applied
@@ -363,14 +367,11 @@ private:
     struct WorkerScratch {
         KeyVec key;
         std::vector<FillCtx> fills;
-        /// SIMD gather+hash scratch for the lane's group-of-8 front-cache
-        /// probes (batched match pipeline, DESIGN.md §15).
-        MatchBatcher hasher;
     };
 
     /// A precomputed probe hint for run_packet (batched pipeline): when the
     /// walk reaches `node`, the front cache's lookup reuses `key_hash`
-    /// (already computed by the group's SIMD pass, slot already prefetched)
+    /// (already computed by the group's hash pass, slot already prefetched)
     /// instead of hashing the gathered key again. Valid only for the
     /// program's root cache node — fields are unmutated before the first
     /// node, so the gathered key is identical.
@@ -407,9 +408,9 @@ private:
                              CacheSet& caches, WorkerScratch& scratch,
                              const ProbeHint* hint = nullptr);
     /// Services one RX queue with worker `w`'s cache shard, scratch and
-    /// metrics lane: groups of kHashGroup descriptors are peeked, their
-    /// root-cache probes hashed and prefetched when the program root is a
-    /// cache, then each packet runs into `counters` and posts its
+    /// metrics lane: groups of up to kHashGroup descriptors are peeked,
+    /// their root-cache probes hashed and prefetched when the program root
+    /// is a cache, then each packet runs into `counters` and posts its
     /// completion. Sampling numbers come from `*seq` (bumped per packet)
     /// when `seq` is set, else from the descriptors' arrival seqs. Stops
     /// when the RX ring is empty, the TX ring is full, or `used` reaches
@@ -452,7 +453,8 @@ private:
 
     /// Applies every queued op in enqueue order. Caller holds control_mu_.
     /// When own_seq is set, the matching op's result lands in *own_ok /
-    /// *own_count / *own_swap. Returns the number of ops applied.
+    /// *own_count / *own_swap; every failed op counts in ops_failed_.
+    /// Returns the number of ops applied.
     std::size_t drain_queue_unlocked(const std::uint64_t* own_seq = nullptr,
                                      bool* own_ok = nullptr,
                                      int* own_count = nullptr,
@@ -485,7 +487,8 @@ private:
     mutable telemetry::MetricsRegistry metrics_;
     struct MetricIds {
         telemetry::MetricId packets = 0, drops = 0, batches = 0;
-        telemetry::MetricId control_ops = 0, epochs = 0;
+        telemetry::MetricId control_ops = 0, control_op_failures = 0;
+        telemetry::MetricId epochs = 0;
         telemetry::MetricId worker_packets = 0;  ///< sharded lane counter
         telemetry::MetricId workers_gauge = 0;
         telemetry::MetricId batch_wall_ns = 0, batch_cycles = 0;
@@ -548,6 +551,7 @@ private:
     std::atomic<std::uint64_t> ops_sync_{0};      ///< applied by submitter
     std::atomic<std::uint64_t> ops_deferred_{0};  ///< returned before apply
     std::atomic<std::uint64_t> ops_drained_{0};   ///< total applied
+    std::atomic<std::uint64_t> ops_failed_{0};    ///< applied, returned false
     std::atomic<std::uint64_t> epoch_{0};         ///< program swaps applied
     std::atomic<bool> in_batch_{false};
 

@@ -11,17 +11,6 @@ using ir::TableEntry;
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t word) {
-    for (int b = 0; b < 8; ++b) {
-        h ^= (word >> (8 * b)) & 0xFF;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 std::uint64_t width_mask(int width_bits) {
     if (width_bits >= 64) return ~0ULL;
     if (width_bits <= 0) return 0;
@@ -35,12 +24,6 @@ std::uint64_t prefix_mask(int prefix_len, int width_bits) {
 }
 
 }  // namespace
-
-std::size_t KeyVecHash::operator()(const KeyVec& key) const {
-    std::uint64_t h = kFnvBasis;
-    for (std::uint64_t word : key) h = fnv_word(h, word);
-    return h;
-}
 
 EntryList EntryList::ordered(std::vector<TableEntry> entries) {
     EntryList list;
@@ -118,11 +101,8 @@ int MatchEngine::add_group() {
 
 template <class ValueAt>
 std::uint32_t MatchEngine::masked_hash(const Group& g, ValueAt value_at) const {
-    std::uint64_t h = kFnvBasis;
-    for (std::size_t c = 0; c < g.masks.size(); ++c) {
-        h = fnv_word(h, value_at(c) & g.masks[c]);
-    }
-    return static_cast<std::uint32_t>(h);
+    return static_cast<std::uint32_t>(flow_hash(
+        g.masks.size(), [&](std::size_t c) { return value_at(c) & g.masks[c]; }));
 }
 
 template <class ValueAt>

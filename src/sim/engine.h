@@ -31,15 +31,18 @@
 
 #include "ir/entry.h"
 #include "ir/table.h"
+#include "sim/flow_hash.h"
 
 namespace pipeleon::sim {
 
 /// Gathered key field values, in table-key order.
 using KeyVec = std::vector<std::uint64_t>;
 
-/// Hash functor for KeyVec (FNV-1a over the raw words).
+/// Hash functor for KeyVec: the flow hash of its words.
 struct KeyVecHash {
-    std::size_t operator()(const KeyVec& key) const;
+    std::size_t operator()(const KeyVec& key) const {
+        return flow_hash(key.size(), [&key](std::size_t i) { return key[i]; });
+    }
 };
 
 /// Result of a successful lookup: the index of the matched entry in the
@@ -123,8 +126,8 @@ private:
     /// Adds the group of the shape group_of() just computed (LPM groups
     /// stay in probe order); returns its index.
     int add_group();
-    /// Low 32 bits of the FNV-1a hash of value_at(c) & masks[c] over the
-    /// key components — KeyVecHash of the masked key.
+    /// Low 32 bits of the flow hash of value_at(c) & masks[c] over the key
+    /// components — KeyVecHash of the masked key.
     template <class ValueAt>
     std::uint32_t masked_hash(const Group& g, ValueAt value_at) const;
     /// Cell holding the masked key value_at(.) (or the empty cell where it

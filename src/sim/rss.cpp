@@ -6,17 +6,8 @@ namespace pipeleon::sim {
 
 std::uint64_t rss_hash(const Packet& packet, const FieldId* fields,
                        std::size_t n_fields) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::size_t i = 0; i < n_fields; ++i) {
-        h ^= packet.get(fields[i]);
-        h *= 1099511628211ULL;
-    }
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return h;
+    return flow_hash(n_fields,
+                     [&](std::size_t i) { return packet.get(fields[i]); });
 }
 
 RssDispatcher::RssDispatcher(std::size_t queues,
@@ -34,7 +25,6 @@ void RssDispatcher::set_steer_fields(std::vector<FieldId> fields,
                                      std::uint64_t epoch) {
     steer_ = std::move(fields);
     steer_epoch_ = epoch;
-    hasher_.reserve(steer_.size());
 }
 
 void RssDispatcher::set_steer_map(std::vector<std::uint32_t> reta) {
@@ -72,22 +62,16 @@ int RssDispatcher::dispatch_hashed(const Packet& packet, std::uint64_t h,
 }
 
 std::size_t RssDispatcher::dispatch_batch(const PacketBatch& batch, double now) {
-    // Hash in SIMD groups of kHashGroup, then funnel each packet through the
+    // Hash in groups of kHashGroup, then funnel each packet through the
     // single-packet path with its hash in hand — one hash per packet.
     std::size_t accepted = 0;
     std::uint64_t h[kHashGroup];
     const std::size_t n = batch.size();
     for (std::size_t i = 0; i < n; i += kHashGroup) {
         const std::size_t g = std::min(kHashGroup, n - i);
-        if (g == kHashGroup) {
-            hasher_.rss_group(
-                [&](std::size_t lane) -> const Packet& { return batch[i + lane]; },
-                g, steer_.data(), steer_.size(), h);
-        } else {
-            for (std::size_t lane = 0; lane < g; ++lane) {
-                h[lane] = rss_hash(batch[i + lane], steer_.data(), steer_.size());
-            }
-        }
+        hash_group(
+            [&](std::size_t lane) -> const Packet& { return batch[i + lane]; },
+            g, steer_.data(), steer_.size(), h);
         for (std::size_t lane = 0; lane < g; ++lane) {
             if (dispatch_hashed(batch[i + lane], h[lane], now) >= 0) ++accepted;
         }

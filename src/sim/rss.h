@@ -1,6 +1,6 @@
 // sim/rss.h — multi-queue RSS dispatch over descriptor rings (ISSUE 6).
 // The dispatcher is the emulator's front end and its only batch ingress: it
-// hashes each packet's flow tuple (FNV-1a + SplitMix64, the hash
+// hashes each packet's flow tuple (the flow hash of sim/flow_hash.h, which
 // Emulator::steer_worker names workers with, so same flow -> same queue ->
 // same worker shard, always) and enqueues an RX descriptor into that
 // queue's ring, dropping on overflow. The emulator builds one via
@@ -21,10 +21,9 @@
 
 namespace pipeleon::sim {
 
-/// The RSS flow hash: FNV-1a over the steering tuple's 64-bit values,
-/// finished with a SplitMix64 avalanche so the low bits a modulo consumes
-/// are well mixed. Shared by Emulator::steer_worker and RssDispatcher so
-/// the two agree packet-for-packet.
+/// The RSS flow hash: flow_hash over the steering tuple's 64-bit values.
+/// Shared by Emulator::steer_worker and RssDispatcher so the two agree
+/// packet-for-packet.
 std::uint64_t rss_hash(const Packet& packet, const FieldId* fields,
                        std::size_t n_fields);
 
@@ -69,7 +68,7 @@ public:
 
     /// dispatch() with the steering hash already computed (must equal
     /// rss_hash over the current steer fields). The batched front end hashes
-    /// groups of kHashGroup packets with the SIMD kernel, then funnels each
+    /// groups of kHashGroup packets with hash_group(), then funnels each
     /// through here — one hash per packet.
     int dispatch_hashed(const Packet& packet, std::uint64_t h,
                         double now = -1.0);
@@ -96,7 +95,6 @@ private:
     std::vector<std::unique_ptr<QueuePair>> queues_;
     std::vector<FieldId> steer_;
     std::vector<std::uint32_t> reta_;  ///< empty = hash % queues
-    MatchBatcher hasher_;              ///< SIMD group hashing scratch
     std::uint64_t steer_epoch_ = 0;
     std::uint64_t seq_ = 0;
     RingStats accounted_;  ///< totals already reported via take_delta()

@@ -198,72 +198,6 @@ const CacheStore::CacheEntry* CacheStore::lookup_hashed(const KeyVec& key,
     return &slots_[s].entry;
 }
 
-void CacheStore::lookup_group(const KeyVec* const* keys,
-                              const std::uint64_t* hashes, std::size_t n,
-                              const CacheEntry** out) {
-    if (live_ == 0) {
-        for (std::size_t i = 0; i < n; ++i) out[i] = nullptr;
-        return;
-    }
-    // Software-pipelined probe: each stage issues the loads the next stage
-    // depends on for *every* lane before any lane advances, so up to kChunk
-    // probe-memory latencies overlap instead of serializing.
-    constexpr std::size_t kChunk = 64;
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t base = 0; base < n; base += kChunk) {
-        const std::size_t m = std::min(kChunk, n - base);
-        // Stage 1: pull each lane's home index cell toward L1.
-        for (std::size_t i = 0; i < m; ++i) {
-            __builtin_prefetch(
-                &index_[static_cast<std::size_t>(hashes[base + i]) & mask]);
-        }
-        // Stage 2: hash-only cluster scan (no slot touch yet) to find each
-        // lane's candidate slot, prefetching the slot as soon as it's known.
-        std::uint32_t cand[kChunk];
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t h = hashes[base + i];
-            std::size_t p = static_cast<std::size_t>(h) & mask;
-            std::uint32_t slot = kNil;
-            while (true) {
-                const IndexCell& cell = index_[p];
-                if (cell.slot == kNil) break;
-                if (cell.hash == h) {
-                    slot = cell.slot;
-                    break;
-                }
-                p = (p + 1) & mask;
-            }
-            cand[i] = slot;
-            if (slot != kNil) __builtin_prefetch(&slots_[slot]);
-        }
-        // Stage 3: prefetch each candidate's key words for the verify.
-        for (std::size_t i = 0; i < m; ++i) {
-            if (cand[i] != kNil) __builtin_prefetch(slots_[cand[i]].key.data());
-        }
-        // Stage 4: verify keys and apply LRU touches in lane order, so the
-        // final LRU state is bit-identical to sequential lookup_hashed calls.
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t lane = base + i;
-            const std::uint32_t s = cand[i];
-            if (s == kNil) {
-                out[lane] = nullptr;
-                continue;
-            }
-            if (slots_[s].key == *keys[lane]) {
-                if (head_ != s) {
-                    lru_unlink(s);
-                    lru_push_front(s);
-                }
-                out[lane] = &slots_[s].entry;
-            } else {
-                // A different key in the cluster shares this 64-bit hash —
-                // vanishingly rare; resolve with the exact scalar probe.
-                out[lane] = lookup_hashed(*keys[lane], hashes[lane]);
-            }
-        }
-    }
-}
-
 bool CacheStore::insert(const KeyVec& key, CacheEntry entry, double now_seconds) {
     // Refill the token bucket (burst bounded by one second of budget).
     if (now_seconds > last_refill_) {

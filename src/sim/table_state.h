@@ -122,8 +122,8 @@ public:
     const CacheEntry* lookup(const KeyVec& key);
 
     /// The hash `lookup` computes internally — exposed so the batched match
-    /// pipeline (sim/match_batch.h, DESIGN.md §15) can hash keys in SIMD
-    /// groups up front and hand them back via prefetch()/lookup_hashed().
+    /// pipeline (sim/match_batch.h, DESIGN.md §15) can hash keys in groups
+    /// up front and hand them back via prefetch()/lookup_hashed().
     static std::uint64_t key_hash(const KeyVec& key) { return KeyVecHash{}(key); }
 
     /// Hints the cache line of `h`'s home index cell into L1/L2. Cheap and
@@ -139,14 +139,6 @@ public:
     /// lookup() with the key hash already computed (must equal key_hash(key);
     /// semantics and LRU effects are bit-identical to lookup()).
     const CacheEntry* lookup_hashed(const KeyVec& key, std::uint64_t h);
-
-    /// Batched probe: resolves `n` lookups whose hashes were precomputed,
-    /// software-pipelining the dependent loads (index cell -> slot -> key
-    /// words) across lanes so the memory latency of one probe hides behind
-    /// the others. Results and LRU effects are identical to calling
-    /// lookup_hashed() per lane in order (touches are applied in lane order).
-    void lookup_group(const KeyVec* const* keys, const std::uint64_t* hashes,
-                      std::size_t n, const CacheEntry** out);
 
     /// Attempts to install an entry at virtual time `now_seconds`. Evicts
     /// LRU victims at capacity; drops the insert (counted) when the rate

@@ -292,6 +292,75 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
     EXPECT_EQ(stats.ops_applied_sync + stats.ops_deferred, stats.ops_submitted);
 }
 
+/// An op that applies with `false` counts exactly one failure, in
+/// ControlPlaneStats::ops_failed and the sim.control_op_failures counter,
+/// whether its submitter applied it or it waited behind an in-flight poll
+/// (where the submitter only saw the optimistic `true`).
+TEST(ControlQueue, FailedOpCountsOnceWhetherSyncOrDeferred) {
+    ir::Program prog = ir::chain_of_exact_tables("p", 6, 2, 1);
+    sim::Emulator emu(sim::bluefield2_model(), prog, {});
+    auto failures = [&emu] {
+        return emu.telemetry_snapshot().counter("sim.control_op_failures");
+    };
+
+    EXPECT_FALSE(emu.insert_entry("missing", exact_entry(1, 0)));
+    EXPECT_EQ(emu.control_stats().ops_failed, 1u);
+    EXPECT_EQ(failures(), 1u);
+
+    util::Rng rng(3);
+    std::vector<trafficgen::FieldRange> tuple;
+    for (int i = 0; i < 6; ++i) tuple.push_back({util::format("f%d", i), 0, 255});
+    trafficgen::FlowSet flows = trafficgen::FlowSet::generate(tuple, 128, rng);
+    apps::install_flow_entries(emu, flows);
+    trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 5);
+
+    std::atomic<bool> stop{false};
+    std::thread data([&] {
+        sim::RingConfig cfg;
+        cfg.rx_capacity = 2048;
+        sim::RssDispatcher io = emu.make_rings(cfg);
+        while (!stop.load(std::memory_order_relaxed)) {
+            io.dispatch_batch(wl.next_batch(emu.fields(), 2048));
+            emu.poll(io);
+        }
+    });
+
+    // Each attempt drains before the next, so exactly one op is outstanding
+    // and ops_failed must rise by exactly one, however it was applied. The
+    // results are checked after the join (a fatal assertion here would
+    // leave the data thread running).
+    std::uint64_t attempts = 0;
+    std::uint64_t miscounted = 0;
+    std::uint64_t deferred_true = 0;
+    bool deferred = false;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!deferred && std::chrono::steady_clock::now() < deadline) {
+        while (!emu.batch_in_flight() &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        const sim::Emulator::ControlPlaneStats before = emu.control_stats();
+        const bool ok = emu.insert_entry("missing", exact_entry(attempts, 0));
+        deferred = emu.control_stats().ops_deferred > before.ops_deferred;
+        if (deferred && ok) ++deferred_true;
+        emu.drain_control();
+        if (emu.control_stats().ops_failed != before.ops_failed + 1) ++miscounted;
+        ++attempts;
+    }
+    stop.store(true);
+    data.join();
+
+    EXPECT_EQ(miscounted, 0u);
+    const sim::Emulator::ControlPlaneStats stats = emu.control_stats();
+    EXPECT_EQ(stats.ops_failed, 1 + attempts);
+    EXPECT_EQ(failures(), stats.ops_failed);
+    if (!deferred) {
+        GTEST_SKIP() << "never raced a poll in flight on this host "
+                        "(single-CPU scheduling); synchronous checks passed";
+    }
+    EXPECT_EQ(deferred_true, 1u);  // the deferred submitter saw `true`
+}
+
 /// The lock-free MPSC push (ISSUE 4): many producer threads enqueue
 /// concurrently with each other AND with the data plane's consumer drains.
 /// Under TSan this exercises the Vyukov push/drain pairing; functionally,

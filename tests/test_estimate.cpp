@@ -15,6 +15,7 @@
 #include "opt/estimate.h"
 #include "opt/merge.h"
 #include "synth/profile_synth.h"
+#include "util/strings.h"
 
 namespace pipeleon::opt {
 namespace {
@@ -52,11 +53,11 @@ struct PipeletCase {
 PipeletCase make_chain(const std::vector<double>& drop_rates) {
     ProgramBuilder b("chain");
     for (std::size_t i = 0; i < drop_rates.size(); ++i) {
-        TableSpec spec("t" + std::to_string(i));
-        spec.key("f" + std::to_string(i));
-        spec.noop_action("t" + std::to_string(i) + "_ok", 1);
-        spec.drop_action("t" + std::to_string(i) + "_deny");
-        spec.default_to("t" + std::to_string(i) + "_ok");
+        TableSpec spec(util::format("t%zu", i));
+        spec.key(util::format("f%zu", i));
+        spec.noop_action(util::format("t%zu_ok", i), 1);
+        spec.drop_action(util::format("t%zu_deny", i));
+        spec.default_to(util::format("t%zu_ok", i));
         b.append(spec.build());
     }
     PipeletCase s{b.build(), {}, {}};
@@ -141,9 +142,9 @@ TEST(Estimate, InvalidOrderRejected) {
 PipeletCase make_ternary_chain(std::size_t n) {
     ProgramBuilder b("tern");
     for (std::size_t i = 0; i < n; ++i) {
-        b.append(TableSpec("t" + std::to_string(i))
-                     .key("f" + std::to_string(i), MatchKind::Ternary)
-                     .noop_action("t" + std::to_string(i) + "_a", 1)
+        b.append(TableSpec(util::format("t%zu", i))
+                     .key(util::format("f%zu", i), MatchKind::Ternary)
+                     .noop_action(util::format("t%zu_a", i), 1)
                      .build());
     }
     PipeletCase s{b.build(), {}, {}};

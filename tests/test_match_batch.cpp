@@ -1,23 +1,25 @@
-// Tests for the batched match path (sim/match_batch.h, DESIGN.md §15):
-// randomized scalar-vs-SIMD hash equivalence across every dispatch tier,
-// CacheStore::lookup_group vs sequential lookup (results AND LRU state),
-// scalar-vs-SIMD bit-identity through the emulator, NUMA-aware RETA
-// steering (balance + dispatcher/steer_worker agreement), and the
-// dispatcher's peek/advance consumer API.
+// Tests for the batched match path (sim/match_batch.h, DESIGN.md §15): the
+// one flow hash agrees across the group path, the single-key hash, rss_hash
+// and the cache index hash (randomized, for the empty key, and for every
+// group size), and its finisher spreads high-bit-only key
+// differences over the low index bits; prefetch() has no side effects;
+// NUMA-aware RETA steering (balance + dispatcher/steer_worker agreement);
+// and the dispatcher's peek/advance consumer API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
-#include "apps/scenarios.h"
-#include "cached_chain.h"
 #include "ir/builder.h"
 #include "sim/emulator.h"
+#include "sim/flow_hash.h"
 #include "sim/match_batch.h"
 #include "sim/nic_model.h"
 #include "sim/rss.h"
 #include "sim/table_state.h"
+#include "sim/tiered_store.h"
 #include "trafficgen/workload.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -28,152 +30,139 @@ namespace {
 constexpr int kChainLen = 6;
 constexpr int kFlows = 128;
 
-std::vector<SimdTier> available_tiers() {
-    std::vector<SimdTier> tiers = {SimdTier::Scalar};
-    if (static_cast<int>(cpu_simd_tier()) >= static_cast<int>(SimdTier::Sse2)) {
-        tiers.push_back(SimdTier::Sse2);
-    }
-    if (static_cast<int>(cpu_simd_tier()) >= static_cast<int>(SimdTier::Avx2)) {
-        tiers.push_back(SimdTier::Avx2);
-    }
-    return tiers;
-}
+// ------------------------------------------------------------- one hash
 
-// ------------------------------------------------------- hash equivalence
-
-/// Every SIMD tier must produce bit-identical hashes to the scalar word
-/// references — and the references themselves must match the production
-/// kernels they stand in for (rss_hash over a Packet, KeyVecHash over a
-/// KeyVec) — across randomized field counts and values.
+/// Every tier a key is hashed at gives the word reference (flow_hash over
+/// the key's values) bit for bit: the group path over a full group of eight
+/// packets, rss_hash over each packet, and KeyVecHash / CacheStore::key_hash
+/// / TieredStore::key_hash over the gathered key, across randomized field
+/// counts and full-width values.
 TEST(MatchBatch, HashEquivalenceAcrossTiersRandomized) {
     util::Rng rng(0x5eed);
     for (int round = 0; round < 200; ++round) {
         const std::size_t n_fields = 1 + rng.next_u64() % 12;
-        // Field-major gather buffer, all kHashGroup lanes populated.
+        // Field-major word buffer, all kHashGroup lanes populated; word f
+        // of a lane's key is its packet's field f.
         std::vector<std::uint64_t> words(n_fields * kHashGroup);
         for (auto& w : words) w = rng.next_u64();
+        std::vector<FieldId> fields(n_fields);
+        for (std::size_t f = 0; f < n_fields; ++f) fields[f] = static_cast<FieldId>(f);
 
-        std::uint64_t ref_rss[kHashGroup];
-        std::uint64_t ref_key[kHashGroup];
+        std::vector<Packet> pkts(kHashGroup);
+        std::uint64_t ref[kHashGroup];
         for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
-            std::vector<std::uint64_t> key(n_fields);
+            KeyVec key(n_fields);
             for (std::size_t f = 0; f < n_fields; ++f) {
                 key[f] = words[f * kHashGroup + lane];
+                pkts[lane].set(fields[f], key[f]);
             }
-            ref_rss[lane] = rss_hash_words(key.data(), n_fields);
-            ref_key[lane] = key_hash_words(key.data(), n_fields);
-
-            // Anchor the references against the production kernels.
-            Packet pkt;
-            std::vector<FieldId> fields(n_fields);
-            for (std::size_t f = 0; f < n_fields; ++f) {
-                fields[f] = static_cast<FieldId>(f);
-                pkt.set(fields[f], key[f]);
-            }
-            ASSERT_EQ(ref_rss[lane], rss_hash(pkt, fields.data(), n_fields));
-            ASSERT_EQ(ref_key[lane],
-                      static_cast<std::uint64_t>(KeyVecHash{}(key)));
-            ASSERT_EQ(ref_key[lane], CacheStore::key_hash(key));
+            ref[lane] = flow_hash(
+                n_fields, [&](std::size_t f) { return words[f * kHashGroup + lane]; });
+            ASSERT_EQ(ref[lane], rss_hash(pkts[lane], fields.data(), n_fields));
+            ASSERT_EQ(ref[lane], static_cast<std::uint64_t>(KeyVecHash{}(key)));
+            ASSERT_EQ(ref[lane], CacheStore::key_hash(key));
+            ASSERT_EQ(ref[lane], TieredStore::key_hash(key));
         }
 
-        for (SimdTier tier : available_tiers()) {
-            std::uint64_t out[kHashGroup];
-            rss_hash8(words.data(), n_fields, out, tier);
-            for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
-                ASSERT_EQ(out[lane], ref_rss[lane])
-                    << "rss tier=" << simd_tier_name(tier) << " lane=" << lane
-                    << " n_fields=" << n_fields;
-            }
-            key_hash8(words.data(), n_fields, out, tier);
-            for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
-                ASSERT_EQ(out[lane], ref_key[lane])
-                    << "key tier=" << simd_tier_name(tier) << " lane=" << lane
-                    << " n_fields=" << n_fields;
-            }
-        }
-    }
-}
-
-/// Zero-field keys (an empty steering tuple) hash to the same constant on
-/// every tier.
-TEST(MatchBatch, ZeroFieldKeysAgreeAcrossTiers) {
-    std::uint64_t ref[kHashGroup];
-    rss_hash8(nullptr, 0, ref, SimdTier::Scalar);
-    for (SimdTier tier : available_tiers()) {
         std::uint64_t out[kHashGroup];
-        rss_hash8(nullptr, 0, out, tier);
+        hash_group([&](std::size_t lane) -> const Packet& { return pkts[lane]; },
+                   kHashGroup, fields.data(), n_fields, out);
         for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
-            EXPECT_EQ(out[lane], ref[lane]);
+            ASSERT_EQ(out[lane], ref[lane])
+                << "lane " << lane << ", " << n_fields << " fields";
         }
     }
 }
 
-/// PIPELEON_SIMD-style cap strings parse to the documented tiers.
-TEST(MatchBatch, SimdTierCapParsing) {
-    EXPECT_EQ(simd_tier_cap("0"), SimdTier::Scalar);
-    EXPECT_EQ(simd_tier_cap("scalar"), SimdTier::Scalar);
-    EXPECT_EQ(simd_tier_cap("1"), SimdTier::Sse2);
-    EXPECT_EQ(simd_tier_cap("sse2"), SimdTier::Sse2);
-    EXPECT_EQ(simd_tier_cap("2"), SimdTier::Avx2);
-    EXPECT_EQ(simd_tier_cap("avx2"), SimdTier::Avx2);
-    EXPECT_EQ(simd_tier_cap(nullptr), SimdTier::Avx2);  // no cap
-    EXPECT_EQ(simd_tier_cap(""), SimdTier::Avx2);
-}
-
-/// The test override forces simd_tier() down to any supported tier and
-/// clears back to the process-wide resolution.
-TEST(MatchBatch, TierOverrideForcesAndClears) {
-    const SimdTier resolved = simd_tier();
-    set_simd_tier_for_test(SimdTier::Scalar);
-    EXPECT_EQ(simd_tier(), SimdTier::Scalar);
-    MatchBatcher forced;  // picks up the overridden tier
-    EXPECT_EQ(forced.tier(), SimdTier::Scalar);
-    clear_simd_tier_for_test();
-    EXPECT_EQ(simd_tier(), resolved);
-}
-
-/// MatchBatcher group gather: hashing packets through rss_group/key_group
-/// equals hashing each packet's gathered key alone, for every group size
-/// 1..kHashGroup (partial tail groups must not read or write past n).
-TEST(MatchBatch, BatcherGroupMatchesSingleKeyForAllGroupSizes) {
-    util::Rng rng(42);
-    const std::size_t n_fields = 5;
-    std::vector<FieldId> fields;
-    for (std::size_t f = 0; f < n_fields; ++f) {
-        fields.push_back(static_cast<FieldId>(f));
-    }
+/// Zero-field keys (an empty steering tuple) hash to the finished basis on
+/// every tier: each group lane, rss_hash, and the empty KeyVec's hashes.
+TEST(MatchBatch, ZeroFieldKeysAgreeAcrossTiers) {
+    const std::uint64_t empty = flow_hash_finish(kFlowHashBasis);
     std::vector<Packet> pkts(kHashGroup);
-    for (Packet& p : pkts) {
-        for (FieldId f : fields) p.set(f, rng.next_u64());
+    for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
+        pkts[lane].set(0, 0x1000 + lane);  // fields the key does not read
     }
-    for (SimdTier tier : available_tiers()) {
-        MatchBatcher b(tier);
+    std::uint64_t out[kHashGroup];
+    hash_group([&](std::size_t lane) -> const Packet& { return pkts[lane]; },
+               kHashGroup, nullptr, 0, out);
+    for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
+        EXPECT_EQ(out[lane], empty) << "lane " << lane;
+        EXPECT_EQ(rss_hash(pkts[lane], nullptr, 0), empty) << "lane " << lane;
+    }
+    const KeyVec none;
+    EXPECT_EQ(static_cast<std::uint64_t>(KeyVecHash{}(none)), empty);
+    EXPECT_EQ(CacheStore::key_hash(none), empty);
+    EXPECT_EQ(TieredStore::key_hash(none), empty);
+}
+
+/// For keys of 0..12 fields and every group size 1..kHashGroup, each group
+/// lane equals the single-key flow hash, rss_hash over the packet, and
+/// KeyVecHash / CacheStore::key_hash / TieredStore::key_hash over the
+/// gathered key; a partial group writes nothing past n, through
+/// hash_group and both MatchBatcher names.
+TEST(MatchBatch, BatcherGroupMatchesSingleKeyForAllGroupSizes) {
+    util::Rng rng(0x5eed);
+    MatchBatcher batcher;
+    for (int round = 0; round < 130; ++round) {
+        const std::size_t n_fields = static_cast<std::size_t>(round % 13);
+        std::vector<FieldId> fields(n_fields);
+        for (FieldId& f : fields) f = static_cast<FieldId>(rng.next_u64() % 16);
+        std::vector<Packet> pkts(kHashGroup);
+        for (Packet& p : pkts) {
+            for (FieldId f = 0; f < 16; ++f) p.set(f, rng.next_u64());
+        }
+        auto at = [&](std::size_t lane) -> const Packet& { return pkts[lane]; };
+
+        std::uint64_t ref[kHashGroup];
+        for (std::size_t lane = 0; lane < kHashGroup; ++lane) {
+            KeyVec key;
+            for (FieldId f : fields) key.push_back(pkts[lane].get(f));
+            ref[lane] = flow_hash(n_fields, [&](std::size_t i) { return key[i]; });
+            ASSERT_EQ(ref[lane], rss_hash(pkts[lane], fields.data(), n_fields));
+            ASSERT_EQ(ref[lane], static_cast<std::uint64_t>(KeyVecHash{}(key)));
+            ASSERT_EQ(ref[lane], CacheStore::key_hash(key));
+            ASSERT_EQ(ref[lane], TieredStore::key_hash(key));
+        }
+
         for (std::size_t n = 1; n <= kHashGroup; ++n) {
-            std::uint64_t out[kHashGroup];
-            std::fill(out, out + kHashGroup, 0xDEADBEEFULL);
-            b.rss_group([&](std::size_t lane) -> const Packet& {
-                return pkts[lane];
-            }, n, fields.data(), n_fields, out);
-            for (std::size_t lane = 0; lane < n; ++lane) {
-                EXPECT_EQ(out[lane],
-                          rss_hash(pkts[lane], fields.data(), n_fields));
-            }
-            for (std::size_t lane = n; lane < kHashGroup; ++lane) {
-                EXPECT_EQ(out[lane], 0xDEADBEEFULL) << "wrote past n";
-            }
-            b.key_group([&](std::size_t lane) -> const Packet& {
-                return pkts[lane];
-            }, n, fields.data(), n_fields, out);
-            for (std::size_t lane = 0; lane < n; ++lane) {
-                KeyVec key;
-                for (FieldId f : fields) key.push_back(pkts[lane].get(f));
-                EXPECT_EQ(out[lane], static_cast<std::uint64_t>(KeyVecHash{}(key)));
+            for (int path = 0; path < 3; ++path) {
+                std::uint64_t out[kHashGroup];
+                std::fill(out, out + kHashGroup, 0xDEADBEEFULL);
+                if (path == 0) hash_group(at, n, fields.data(), n_fields, out);
+                if (path == 1) batcher.rss_group(at, n, fields.data(), n_fields, out);
+                if (path == 2) batcher.key_group(at, n, fields.data(), n_fields, out);
+                for (std::size_t lane = 0; lane < n; ++lane) {
+                    ASSERT_EQ(out[lane], ref[lane])
+                        << "path " << path << " lane " << lane << " of " << n
+                        << ", " << n_fields << " fields";
+                }
+                for (std::size_t lane = n; lane < kHashGroup; ++lane) {
+                    ASSERT_EQ(out[lane], 0xDEADBEEFULL) << "wrote past n=" << n;
+                }
             }
         }
     }
 }
 
-// -------------------------------------------------- lookup_group identity
+/// Keys that differ only above bit 32 must still spread over the low bits a
+/// power-of-two index reads. Without the SplitMix64 finisher the FNV
+/// product's low 32 bits ignore the high key bits, and all of these keys
+/// would share one bucket.
+TEST(MatchBatch, KeysDifferingAboveBit32SpreadOverLowBits) {
+    constexpr std::uint64_t kBuckets = 1024;
+    for (std::size_t width : {1u, 2u}) {
+        std::set<std::uint64_t> buckets;
+        for (std::uint64_t i = 1; i <= kBuckets; ++i) {
+            KeyVec key(width, 0x1234);
+            key.back() = i << 32 | 0x1234;
+            buckets.insert(KeyVecHash{}(key) & (kBuckets - 1));
+        }
+        // 1024 keys thrown uniformly at 1024 buckets fill ~647 of them.
+        EXPECT_GT(buckets.size(), kBuckets / 2) << width << "-word keys";
+    }
+}
+
+// ------------------------------------------------------------- prefetch
 
 KeyVec make_key(std::uint64_t k) { return KeyVec{k, k * 0x9e3779b97f4a7c15ULL}; }
 
@@ -184,55 +173,6 @@ CacheStore::CacheEntry make_entry(std::uint64_t k) {
     step.action_index = static_cast<int>(k % 3);
     e.steps.push_back(step);
     return e;
-}
-
-/// lookup_group must equal sequential lookup calls — same hits/misses AND
-/// the same LRU state afterwards (exercised by driving both stores past
-/// capacity and comparing subsequent eviction behavior).
-TEST(MatchBatch, LookupGroupMatchesSequentialLookupAndLru) {
-    ir::CacheConfig cfg;
-    cfg.capacity = 256;
-    cfg.max_insert_per_sec = 1e12;
-    CacheStore seq(cfg);
-    CacheStore grp(cfg);
-
-    util::Rng rng(99);
-    const std::uint64_t key_space = 512;  // 2x capacity: constant pressure
-    double now = 0.0;
-    for (int round = 0; round < 64; ++round) {
-        // Probe a random group (mixed hits and misses) both ways.
-        const std::size_t n = 1 + rng.next_u64() % 24;
-        std::vector<KeyVec> keys(n);
-        std::vector<const KeyVec*> key_ptrs(n);
-        std::vector<std::uint64_t> hashes(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            keys[i] = make_key(rng.next_u64() % key_space);
-            key_ptrs[i] = &keys[i];
-            hashes[i] = CacheStore::key_hash(keys[i]);
-        }
-        std::vector<const CacheStore::CacheEntry*> out(n, nullptr);
-        grp.lookup_group(key_ptrs.data(), hashes.data(), n, out.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            const CacheStore::CacheEntry* ref = seq.lookup(keys[i]);
-            ASSERT_EQ(ref != nullptr, out[i] != nullptr)
-                << "round " << round << " lane " << i;
-            if (ref != nullptr) {
-                ASSERT_EQ(ref->steps.size(), out[i]->steps.size());
-                ASSERT_EQ(ref->steps[0].origin_node, out[i]->steps[0].origin_node);
-            }
-        }
-        // Insert a few keys into both stores (same order): evictions pick
-        // the LRU tail, so identical subsequent behavior proves the group
-        // path's touches left identical LRU state.
-        for (int j = 0; j < 8; ++j) {
-            now += 1e-6;
-            const KeyVec k = make_key(rng.next_u64() % key_space);
-            const std::uint64_t v = k[0];
-            ASSERT_EQ(seq.insert(k, make_entry(v), now),
-                      grp.insert(k, make_entry(v), now));
-        }
-        ASSERT_EQ(seq.size(), grp.size());
-    }
 }
 
 /// prefetch() is side-effect-free at any fill level, including empty.
@@ -250,69 +190,12 @@ TEST(MatchBatch, PrefetchIsSideEffectFree) {
     EXPECT_NE(store.lookup(make_key(1)), nullptr);
 }
 
-// ------------------------------------------------- emulator bit-identity
-
 trafficgen::FlowSet chain_flows(util::Rng& rng) {
     std::vector<trafficgen::FieldRange> tuple;
     for (int i = 0; i < kChainLen; ++i) {
         tuple.push_back({util::format("f%d", i), 0, 255});
     }
     return trafficgen::FlowSet::generate(tuple, kFlows, rng);
-}
-
-void expect_counters_identical(const profile::RawCounters& a,
-                               const profile::RawCounters& b) {
-    EXPECT_EQ(a.action_hits, b.action_hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.branch_true, b.branch_true);
-    EXPECT_EQ(a.branch_false, b.branch_false);
-    EXPECT_EQ(a.cache_hits, b.cache_hits);
-    EXPECT_EQ(a.cache_misses, b.cache_misses);
-    EXPECT_EQ(a.inserts_dropped, b.inserts_dropped);
-    EXPECT_EQ(a.replays, b.replays);
-    EXPECT_EQ(a.entries, b.entries);
-}
-
-void expect_latency_identical(const util::RunningStats& a,
-                              const util::RunningStats& b) {
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.sum(), b.sum());  // bit-identical, not just approximately
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-}
-
-/// Forcing the scalar hash tier must not change emulator results either
-/// (the SIMD kernels are bit-identical, so steering and probes agree).
-TEST(MatchBatch, ScalarTierMatchesSimdTierThroughEmulator) {
-    ir::Program prog = test_support::cached_chain("p", kChainLen);
-    util::Rng rng(13);
-    trafficgen::FlowSet flows = chain_flows(rng);
-
-    auto run = [&](SimdTier tier) {
-        set_simd_tier_for_test(tier);
-        Emulator emu(bluefield2_model(), prog, {});
-        emu.set_worker_count(4);
-        apps::install_flow_entries(emu, flows);
-        trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 3);
-        // Note: worker scratch and dispatcher MatchBatchers snapshot the
-        // tier at construction, which happens after set_worker_count above.
-        RssDispatcher io = emu.make_rings();
-        int done = 0;
-        while (done < 2000) {
-            io.dispatch_batch(wl.next_batch(emu.fields(), 64));
-            emu.poll(io);
-            done += 64;
-        }
-        auto counters = emu.read_counters();
-        auto latency = emu.latency_stats();
-        clear_simd_tier_for_test();
-        return std::make_pair(counters, latency);
-    };
-
-    auto [c_scalar, l_scalar] = run(SimdTier::Scalar);
-    auto [c_simd, l_simd] = run(cpu_simd_tier());
-    expect_counters_identical(c_scalar, c_simd);
-    expect_latency_identical(l_scalar, l_simd);
 }
 
 // ------------------------------------------------------ steering / RETA
@@ -394,7 +277,7 @@ TEST(MatchBatch, DispatcherPeekAdvanceDrainsEachQueue) {
     EXPECT_EQ(seen, sent.size());
 }
 
-/// Batch dispatch (SIMD group hashing) routes identically to per-packet
+/// Batch dispatch (group hashing) routes identically to per-packet
 /// dispatch and accepts the same packets.
 TEST(MatchBatch, DispatchBatchMatchesPerPacketDispatch) {
     FieldTable fields;

@@ -5,6 +5,7 @@
 
 #include "ir/builder.h"
 #include "opt/merge.h"
+#include "util/strings.h"
 
 namespace pipeleon::opt {
 namespace {
@@ -219,8 +220,8 @@ TEST(Merge, ActionCrossProductCap) {
     sa.key("x");
     sb.key("y");
     for (int i = 0; i < 20; ++i) {
-        sa.noop_action("a" + std::to_string(i));
-        sb.noop_action("b" + std::to_string(i));
+        sa.noop_action(util::format("a%d", i));
+        sb.noop_action(util::format("b%d", i));
     }
     Table a = sa.build(), b = sb.build();
     MergeLimits limits;

@@ -6,6 +6,7 @@
 #include "opt/partition.h"
 #include "sim/emulator.h"
 #include "profile/profile.h"
+#include "util/strings.h"
 
 namespace pipeleon::opt {
 namespace {
@@ -21,12 +22,12 @@ using ir::TableSpec;
 Program interleaved(int pairs) {
     ProgramBuilder b("inter");
     for (int i = 0; i < pairs; ++i) {
-        b.append(TableSpec("hw" + std::to_string(i))
-                     .key("h" + std::to_string(i))
+        b.append(TableSpec(util::format("hw%d", i))
+                     .key(util::format("h%d", i))
                      .noop_action("a", 1)
                      .build());
-        b.append(TableSpec("sw" + std::to_string(i))
-                     .key("s" + std::to_string(i))
+        b.append(TableSpec(util::format("sw%d", i))
+                     .key(util::format("s%d", i))
                      .noop_action("a", 1)
                      .cpu_only()
                      .build());

@@ -13,6 +13,7 @@
 #include "runtime/controller.h"
 #include "trafficgen/workload.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace pipeleon::runtime {
 namespace {
@@ -302,11 +303,11 @@ struct AclScenario {
     static AclScenario make() {
         ProgramBuilder b("acl");
         for (int i = 0; i < 4; ++i) {
-            TableSpec spec("acl" + std::to_string(i));
-            spec.key("f" + std::to_string(i));
-            spec.noop_action("acl" + std::to_string(i) + "_ok", 1);
-            spec.drop_action("acl" + std::to_string(i) + "_deny");
-            spec.default_to("acl" + std::to_string(i) + "_ok");
+            TableSpec spec(util::format("acl%d", i));
+            spec.key(util::format("f%d", i));
+            spec.noop_action(util::format("acl%d_ok", i), 1);
+            spec.drop_action(util::format("acl%d_deny", i));
+            spec.default_to(util::format("acl%d_ok", i));
             b.append(spec.build());
         }
         return {b.build()};
@@ -506,7 +507,7 @@ TEST(Controller, IncrementalDeploymentReportsWarmCaches) {
             e.key = {ir::FieldMatch::ternary(0, 0xFULL << (4 + mm))};
             e.action_index = 0;
             e.priority = mm;
-            ASSERT_TRUE(ctl.api().insert(emu, "tt" + std::to_string(i), e));
+            ASSERT_TRUE(ctl.api().insert(emu, util::format("tt%d", i), e));
         }
     }
 
@@ -565,9 +566,9 @@ TEST(Controller, RemovesCacheUnderInsertionStorm) {
     // tables churn; the controller must stop covering the churny table.
     ProgramBuilder b("storm");
     for (int i = 0; i < 3; ++i) {
-        b.append(TableSpec("tern" + std::to_string(i))
-                     .key("tf" + std::to_string(i), MatchKind::Ternary)
-                     .noop_action("t" + std::to_string(i) + "_a", 1)
+        b.append(TableSpec(util::format("tern%d", i))
+                     .key(util::format("tf%d", i), MatchKind::Ternary)
+                     .noop_action(util::format("t%d_a", i), 1)
                      .build());
     }
     b.append(TableSpec("churny").key("vip").noop_action("pick", 1).size(100000).build());
@@ -592,7 +593,7 @@ TEST(Controller, RemovesCacheUnderInsertionStorm) {
             e.key = {ir::FieldMatch::ternary(0, 0xFULL << (4 + m))};
             e.action_index = 0;
             e.priority = m;
-            ASSERT_TRUE(ctl.api().insert(emu, "tern" + std::to_string(i), e));
+            ASSERT_TRUE(ctl.api().insert(emu, util::format("tern%d", i), e));
         }
     }
 

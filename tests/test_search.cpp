@@ -12,6 +12,7 @@
 #include "ir/builder.h"
 #include "search/optimizer.h"
 #include "synth/profile_synth.h"
+#include "util/strings.h"
 
 namespace pipeleon::search {
 namespace {
@@ -42,9 +43,9 @@ struct PipeletCase {
 PipeletCase ternary_chain(std::size_t n) {
     ProgramBuilder b("tc");
     for (std::size_t i = 0; i < n; ++i) {
-        b.append(TableSpec("t" + std::to_string(i))
-                     .key("f" + std::to_string(i), MatchKind::Ternary)
-                     .noop_action("t" + std::to_string(i) + "_a", 1)
+        b.append(TableSpec(util::format("t%zu", i))
+                     .key(util::format("f%zu", i), MatchKind::Ternary)
+                     .noop_action(util::format("t%zu_a", i), 1)
                      .build());
     }
     PipeletCase s{b.build(), {}, {}};
@@ -79,8 +80,7 @@ TEST(Enumerate, PaperExampleTwoTableCandidates) {
             c.layout.order == std::vector<std::size_t>{0, 1}) {
             std::string shape;
             for (const opt::Segment& seg : c.layout.caches) {
-                shape += "[" + std::to_string(seg.first) + "-" +
-                         std::to_string(seg.last) + "]";
+                shape += util::format("[%zu-%zu]", seg.first, seg.last);
             }
             cache_shapes.insert(shape);
         }
@@ -292,11 +292,11 @@ TEST(Optimizer, ReordersDropHeavyAcl) {
     // promoting it (caching exact tables barely helps; merge is capped).
     ProgramBuilder b("acl");
     for (int i = 0; i < 4; ++i) {
-        TableSpec spec("t" + std::to_string(i));
-        spec.key("f" + std::to_string(i));
-        spec.noop_action("t" + std::to_string(i) + "_ok", 1);
-        spec.drop_action("t" + std::to_string(i) + "_deny");
-        spec.default_to("t" + std::to_string(i) + "_ok");
+        TableSpec spec(util::format("t%d", i));
+        spec.key(util::format("f%d", i));
+        spec.noop_action(util::format("t%d_ok", i), 1);
+        spec.drop_action(util::format("t%d_deny", i));
+        spec.default_to(util::format("t%d_ok", i));
         b.append(spec.build());
     }
     Program p = b.build();
