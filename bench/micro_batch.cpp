@@ -196,12 +196,7 @@ double measure_probe_ns(int rounds) {
     std::vector<sim::KeyVec> keys;
     for (std::uint64_t k = 0; k < 3072; ++k) {
         sim::KeyVec key{k, k * 0x9e3779b97f4a7c15ULL};
-        sim::CacheStore::CacheEntry e;
-        sim::ReplayStep step;
-        step.origin_node = static_cast<ir::NodeId>(k % 7);
-        step.action_index = 0;
-        e.steps.push_back(step);
-        store.insert(key, e, 0.0);
+        store.insert(key, sim::CacheStore::CacheEntry{{k % 7}}, 0.0);
         keys.push_back(std::move(key));
     }
     std::uint64_t hits = 0;

@@ -125,12 +125,7 @@ struct ProbeSet {
         for (std::uint64_t k = 0; k < live_keys + miss_keys; ++k) {
             sim::KeyVec key = make_key(k);
             if (k < live_keys) {
-                sim::CacheStore::CacheEntry e;
-                sim::ReplayStep step;
-                step.origin_node = static_cast<ir::NodeId>(k % 5);
-                step.action_index = 0;
-                e.steps.push_back(step);
-                store.insert(key, e, 0.0);
+                store.insert(key, sim::CacheStore::CacheEntry{{k % 5}}, 0.0);
             }
             keys.push_back(std::move(key));
         }

@@ -2,12 +2,12 @@
 // private CounterShard and bumps plain (non-atomic) integers on the hot
 // path, the way per-core P4 counters work on real multicore NICs; shards
 // merge into the emulator's master shard at batch end, in worker order, so
-// the merged values are deterministic. The replay counters — previously a
-// std::map<std::tuple<NodeId, NodeId, int>> paying a red-black-tree walk
-// per cache hit — live in ReplayCounterTable, a flat open-addressing hash
-// over packed 64-bit keys.
+// the merged values are deterministic. Cache replays count per replay slot:
+// the emulator numbers the epoch's (cache, origin table, origin action)
+// triples densely at compile time, so a replay bumps one vector cell.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -17,68 +17,6 @@
 
 namespace pipeleon::sim {
 
-/// Flat linear-probing counter table keyed by a packed
-/// (cache node, origin node, action index) triple. Action -1 (cache recorded
-/// a miss of the origin table) is representable.
-class ReplayCounterTable {
-public:
-    /// Packs the triple into one word: 21 bits per node id, 22 for the
-    /// action (stored +1 so -1 fits). Node ids beyond 2^21 would alias, far
-    /// above any program the IR validator accepts.
-    static std::uint64_t pack(ir::NodeId cache_node, ir::NodeId origin_node,
-                              int action_index) {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cache_node) &
-                                           0x1FFFFFu)
-                << 43) |
-               (static_cast<std::uint64_t>(static_cast<std::uint32_t>(origin_node) &
-                                           0x1FFFFFu)
-                << 22) |
-               (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                    action_index + 1)) &
-                0x3FFFFFu);
-    }
-    static ir::NodeId unpack_cache(std::uint64_t key) {
-        return static_cast<ir::NodeId>((key >> 43) & 0x1FFFFFu);
-    }
-    static ir::NodeId unpack_origin(std::uint64_t key) {
-        return static_cast<ir::NodeId>((key >> 22) & 0x1FFFFFu);
-    }
-    static int unpack_action(std::uint64_t key) {
-        return static_cast<int>(key & 0x3FFFFFu) - 1;
-    }
-
-    void add(std::uint64_t key, std::uint64_t delta = 1);
-    /// Hints `key`'s home cell into cache ahead of the add() a sampled cache
-    /// hit is about to issue per replay step (batched match pipeline,
-    /// DESIGN.md §15). Speculative and side-effect-free.
-    void prefetch(std::uint64_t key) const;
-    void clear();
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /// Calls fn(key, count) for every live counter (table order, which is
-    /// deterministic for a given insertion sequence; consumers that need a
-    /// canonical order sort or re-key themselves).
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-        for (const Slot& s : slots_) {
-            if (s.key_plus_one != 0) fn(s.key_plus_one - 1, s.count);
-        }
-    }
-
-private:
-    struct Slot {
-        std::uint64_t key_plus_one = 0;  // 0 = empty
-        std::uint64_t count = 0;
-    };
-
-    std::uint64_t& slot_for(std::uint64_t key);
-    void grow();
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-};
-
 /// One worker's view of the measurement window: every per-node counter the
 /// emulator keeps, plus latency/packet totals, all private to the worker
 /// while a batch is in flight.
@@ -87,7 +25,8 @@ struct CounterShard {
     std::vector<std::uint64_t> misses;
     std::vector<std::uint64_t> branch_true, branch_false;
     std::vector<std::uint64_t> cache_hits, cache_misses;
-    ReplayCounterTable replays;
+    /// Cache replays, indexed by the epoch's replay slot.
+    std::vector<std::uint64_t> replays;
 
     util::RunningStats latency;
     /// Per-packet emulated latency (cycles) bucketed HDR-style — recorded
@@ -97,8 +36,9 @@ struct CounterShard {
     std::uint64_t packets_total = 0;
     std::uint64_t packets_dropped = 0;
 
-    /// Zeroes everything and sizes the per-node vectors for `program`.
-    void reset_for(const ir::Program& program);
+    /// Zeroes everything and sizes the per-node vectors for `program` and
+    /// the replay counters for `replay_slots` slots.
+    void reset_for(const ir::Program& program, std::size_t replay_slots);
 
     /// Adds `other` into this shard (counter sums, latency merge).
     void absorb(const CounterShard& other);

@@ -91,14 +91,30 @@ void Emulator::compile() {
         }
     }
 
-    // Resolve which cache covers which deployed table.
+    // Replay slots: each cache's block holds, per deployed origin table in
+    // origin_tables order, the table's miss slot and one slot per action.
+    // Defaults resolve here, once per epoch, instead of on every hit.
+    replay_slots_.clear();
     for (const Node& node : program_.nodes()) {
         if (!node.is_table() || node.table.role != TableRole::Cache) continue;
+        CompiledNode& cache = compiled_[static_cast<std::size_t>(node.id)];
+        cache.first_slot = static_cast<std::uint32_t>(replay_slots_.size());
         for (const std::string& origin : node.table.origin_tables) {
-            NodeId covered = program_.find_table(origin);
-            if (covered != kNoNode) {
-                compiled_[static_cast<std::size_t>(covered)].covered_by.push_back(
-                    node.id);
+            const NodeId covered = program_.find_table(origin);
+            if (covered == kNoNode) continue;
+            CompiledNode& cn = compiled_[static_cast<std::size_t>(covered)];
+            const ir::Table& t = program_.node(covered).table;
+            cn.covered_by.push_back(Cover{
+                node.id, static_cast<std::uint32_t>(replay_slots_.size()) -
+                             cache.first_slot});
+            replay_slots_.push_back(ReplaySlot{
+                node.id, covered, -1,
+                t.default_action >= 0
+                    ? &cn.actions[static_cast<std::size_t>(t.default_action)]
+                    : nullptr});
+            for (std::size_t a = 0; a < cn.actions.size(); ++a) {
+                replay_slots_.push_back(ReplaySlot{
+                    node.id, covered, static_cast<int>(a), &cn.actions[a]});
             }
         }
     }
@@ -233,7 +249,7 @@ void Emulator::init_worker_state(int w) {
     // their pages on that CPU's NUMA node.
     auto wi = static_cast<std::size_t>(w);
     if (cache_shards_[wi].empty()) cache_shards_[wi] = make_cache_set();
-    worker_counters_[wi].reset_for(program_);
+    worker_counters_[wi].reset_for(program_, replay_slots_.size());
     scratch_[wi].key.reserve(16);
     scratch_[wi].fills.reserve(8);
 }
@@ -581,7 +597,7 @@ bool Emulator::sampled_for(std::uint64_t seq) const {
 }
 
 bool Emulator::apply_action(const CompiledAction& action, Packet& packet,
-                            const std::vector<std::uint64_t>& args, double scale,
+                            std::span<const std::uint64_t> args, double scale,
                             double& cycles) const {
     cycles += static_cast<double>(action.primitives.size()) *
               model_.costs.l_act * scale;
@@ -640,8 +656,6 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
     // path gathers keys and walks the pipeline without touching the heap.
     std::vector<FillCtx>& fills = scratch.fills;
     fills.clear();
-
-    static const std::vector<std::uint64_t> kNoArgs;
 
     NodeId cur = program_.root();
     std::size_t guard = program_.node_count() * 4 + 16;
@@ -705,31 +719,26 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                     if (sampled) {
                         ++counters.cache_hits[static_cast<std::size_t>(cur)];
                     }
+                    // Decode the run in place (CacheStore::CacheEntry):
+                    // each outcome is a header word, slot relative to this
+                    // cache's block and argument count, then its arguments.
+                    // One apply_action, so one +=, per replayed action.
                     bool dropped = false;
-                    if (sampled) {
-                        // Pull the replay-counter cells toward the cache
-                        // before the per-step adds dereference them.
-                        for (const ReplayStep& step : hit->steps) {
-                            counters.replays.prefetch(ReplayCounterTable::pack(
-                                cur, step.origin_node, step.action_index));
+                    const std::uint64_t* w = hit->words.data();
+                    const std::uint64_t* const end = w + hit->words.size();
+                    while (w != end && !dropped) {
+                        const std::uint64_t header = *w++;
+                        const std::size_t slot =
+                            cn.first_slot + static_cast<std::uint32_t>(header);
+                        const std::span<const std::uint64_t> args(
+                            w, static_cast<std::size_t>(header >> 32));
+                        w += args.size();
+                        if (sampled) ++counters.replays[slot];
+                        const CompiledAction* action = replay_slots_[slot].apply;
+                        if (action != nullptr) {
+                            dropped = apply_action(*action, packet, args, scale,
+                                                   result.cycles);
                         }
-                    }
-                    for (const ReplayStep& step : hit->steps) {
-                        const CompiledNode& origin =
-                            compiled_[static_cast<std::size_t>(step.origin_node)];
-                        const Node& origin_node = program_.node(step.origin_node);
-                        int a = step.action_index >= 0
-                                    ? step.action_index
-                                    : origin_node.table.default_action;
-                        if (sampled) {
-                            counters.replays.add(ReplayCounterTable::pack(
-                                cur, step.origin_node, step.action_index));
-                        }
-                        if (a < 0) continue;  // miss with no default: no-op
-                        dropped = apply_action(
-                            origin.actions[static_cast<std::size_t>(a)], packet,
-                            step.action_data, scale, result.cycles);
-                        if (dropped) break;
                     }
                     if (dropped) break;
                     next = n.next_by_action.empty() ? kNoNode : n.next_by_action[0];
@@ -749,11 +758,11 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                 bool is_merged_cache = n.table.role == TableRole::MergedCache;
 
                 int executed_action;
-                const std::vector<std::uint64_t>* args = &kNoArgs;
+                std::span<const std::uint64_t> args;
                 if (outcome.has_value()) {
                     const ir::TableEntry& e = state.entries()[outcome->entry_index];
                     executed_action = e.action_index;
-                    args = &e.action_data;
+                    args = e.action_data;
                     if (sampled) {
                         ++counters.action_hits[static_cast<std::size_t>(cur)]
                                               [static_cast<std::size_t>(
@@ -773,20 +782,25 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                 }
 
                 // Record the outcome for any flow cache collecting a fill
-                // for this table.
+                // for this table: a header word (the outcome's slot in this
+                // table's part of the cache's block, whose first slot is the
+                // miss, plus the argument count), then the arguments. An
+                // uncovered table must not even read the fill list: its
+                // header shares a cache line with the other workers'
+                // scratch, which they write per node.
                 if (!cn.covered_by.empty() && !fills.empty()) {
+                    const std::uint64_t header =
+                        (outcome.has_value()
+                             ? 1u + static_cast<std::uint64_t>(executed_action)
+                             : 0u) |
+                        static_cast<std::uint64_t>(args.size()) << 32;
                     for (FillCtx& fill : fills) {
-                        bool covers = std::find(cn.covered_by.begin(),
-                                                cn.covered_by.end(),
-                                                fill.cache_node) !=
-                                      cn.covered_by.end();
-                        if (covers) {
-                            ReplayStep step;
-                            step.origin_node = cur;
-                            step.action_index =
-                                outcome.has_value() ? executed_action : -1;
-                            step.action_data = *args;
-                            fill.entry.steps.push_back(std::move(step));
+                        for (const Cover& cover : cn.covered_by) {
+                            if (cover.cache != fill.cache_node) continue;
+                            std::vector<std::uint64_t>& words = fill.entry.words;
+                            words.push_back(header + cover.part);
+                            words.insert(words.end(), args.begin(), args.end());
+                            break;
                         }
                     }
                 }
@@ -795,7 +809,7 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                 if (executed_action >= 0) {
                     dropped = apply_action(
                         cn.actions[static_cast<std::size_t>(executed_action)],
-                        packet, *args, scale, result.cycles);
+                        packet, args, scale, result.cycles);
                 }
                 if (dropped) break;
                 next = outcome.has_value() || n.table.default_action >= 0
@@ -991,7 +1005,7 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
         // decision matches what a process() loop would have made.
         pool_->run([&](int w) {
             auto wi = static_cast<std::size_t>(w);
-            worker_counters_[wi].reset_for(program_);
+            worker_counters_[wi].reset_for(program_, replay_slots_.size());
             double used = 0.0;
             service_lane(io.queue(wi), wi, worker_counters_[wi], nullptr,
                          per_budget, used);
@@ -1049,7 +1063,7 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
 }
 
 void Emulator::begin_window_unlocked() {
-    counters_.reset_for(program_);
+    counters_.reset_for(program_, replay_slots_.size());
     window_start_ = clock_seconds_;
     for (auto& t : tables_) {
         if (t) t->reset_update_count();
@@ -1131,18 +1145,17 @@ profile::RawCounters Emulator::read_counters() const {
         }
     }
 
-    // Replay counters keyed by (cache node, origin table name, action name).
-    counters_.replays.for_each([&](std::uint64_t key, std::uint64_t count) {
-        NodeId cache_node = ReplayCounterTable::unpack_cache(key);
-        NodeId origin_node = ReplayCounterTable::unpack_origin(key);
-        int action_index = ReplayCounterTable::unpack_action(key);
-        const Node& origin = program_.node(origin_node);
-        int a = action_index >= 0 ? action_index : origin.table.default_action;
-        if (a < 0) return;
-        raw.replays[{cache_node, origin.table.name,
-                     origin.table.actions[static_cast<std::size_t>(a)].name}] +=
-            scale(count);
-    });
+    // Replay counters keyed by (cache node, origin table name, action name);
+    // a replayed miss reads as the origin's default action.
+    for (std::size_t s = 0; s < replay_slots_.size(); ++s) {
+        const ReplaySlot& slot = replay_slots_[s];
+        if (counters_.replays[s] == 0 || slot.apply == nullptr) continue;
+        const ir::Table& origin = program_.node(slot.origin).table;
+        const int a = slot.action >= 0 ? slot.action : origin.default_action;
+        raw.replays[{slot.cache, origin.name,
+                     origin.actions[static_cast<std::size_t>(a)].name}] +=
+            scale(counters_.replays[s]);
+    }
     return raw;
 }
 
@@ -1326,13 +1339,26 @@ Emulator::ReconfigureStats Emulator::reconfigure_incremental_unlocked(
     clock_seconds_ += stats.downtime_s;
     window_start_ = clock_seconds_;
 
+    // A warm entry names replay slots relative to its cache's block, and
+    // the block's layout follows the origin tables: a cache stays warm only
+    // when it and each of its origin tables are defined as before (an
+    // origin absent before stays absent).
+    auto same_as_before = [&](const std::string& name) {
+        const auto oit = old_tables.find(name);
+        const NodeId id = program_.find_table(name);
+        if (oit == old_tables.end() || id == kNoNode) {
+            return oit == old_tables.end() && id == kNoNode;
+        }
+        return oit->second == program_.node(id).table;
+    };
     for (const Node& node : program_.nodes()) {
         auto i = static_cast<std::size_t>(node.id);
         if (!node.is_table() || node.table.role != TableRole::Cache) continue;
         auto sit = saved_caches.find(node.table.name);
         if (sit == saved_caches.end()) continue;
-        auto oit = old_tables.find(node.table.name);
-        if (oit != old_tables.end() && oit->second == node.table) {
+        if (same_as_before(node.table.name) &&
+            std::all_of(node.table.origin_tables.begin(),
+                        node.table.origin_tables.end(), same_as_before)) {
             std::size_t n = std::min(sit->second.size(), cache_shards_.size());
             for (std::size_t w = 0; w < n; ++w) {
                 if (sit->second[w]) cache_shards_[w][i] = std::move(sit->second[w]);

@@ -55,6 +55,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -337,12 +338,30 @@ private:
         std::vector<CompiledPrimitive> primitives;
         bool drops = false;
     };
+    /// A flow cache whose origin set includes a table, and where the
+    /// table's part of that cache's replay block starts (relative to the
+    /// block's first slot; the part's first slot is the miss).
+    struct Cover {
+        ir::NodeId cache = ir::kNoNode;
+        std::uint32_t part = 0;
+    };
     struct CompiledNode {
         std::vector<FieldId> key_fields;
         std::vector<CompiledAction> actions;
         FieldId branch_field = kNoField;
-        /// Cache nodes whose origin set includes this table.
-        std::vector<ir::NodeId> covered_by;
+        std::vector<Cover> covered_by;
+        /// Cache nodes: the first slot of the cache's replay block.
+        std::uint32_t first_slot = 0;
+    };
+    /// One replay slot of the epoch: an (origin table, action) outcome the
+    /// cache can record, action -1 being the origin's miss. `apply` is what
+    /// a hit replays for it: the action, the origin's default for a miss,
+    /// or nothing (null) for a miss of a table without a default.
+    struct ReplaySlot {
+        ir::NodeId cache = ir::kNoNode;
+        ir::NodeId origin = ir::kNoNode;
+        int action = -1;
+        const CompiledAction* apply = nullptr;
     };
 
     /// One worker's set of per-node cache stores (index = node id). Each
@@ -352,7 +371,7 @@ private:
     using CacheSet = std::vector<std::unique_ptr<TieredStore>>;
 
     /// A pending cache fill collected while a packet walks the pipeline:
-    /// the missed cache node, the missed key, and the replay steps recorded
+    /// the missed cache node, the missed key, and the replay run recorded
     /// from the covered tables downstream.
     struct FillCtx {
         ir::NodeId cache_node;
@@ -419,7 +438,7 @@ private:
                       std::uint64_t* seq, double budget, double& used);
     /// Applies an action; returns true when the packet was dropped.
     bool apply_action(const CompiledAction& action, Packet& packet,
-                      const std::vector<std::uint64_t>& args, double scale,
+                      std::span<const std::uint64_t> args, double scale,
                       double& cycles) const;
 
     void begin_window_unlocked();
@@ -469,6 +488,11 @@ private:
     FieldTable fields_;
 
     std::vector<CompiledNode> compiled_;
+    /// The epoch's replay slots: each cache's block, in node order, laid out
+    /// by origin_tables rank with the miss slot first in each origin's part.
+    /// Cache entries name slots relative to their block, so a warm cache
+    /// stays valid across an epoch that keeps its block's layout.
+    std::vector<ReplaySlot> replay_slots_;
     std::vector<std::unique_ptr<TableState>> tables_;  // per node (may be null)
     /// Per-worker cache stores: cache_shards_[worker][node]. Shard 0 is the
     /// scalar path's cache; flows are pinned to shards by the steering hash,

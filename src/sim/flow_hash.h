@@ -1,8 +1,9 @@
 // sim/flow_hash.h — the one hash of the emulator's host-side structures
 // (DESIGN.md §15): word-wise FNV-1a over 64-bit values, finished with the
 // SplitMix64 avalanche. rss_hash places flows on workers with it; KeyVecHash
-// (every cache and tier index), the match engines' masked keys, the
-// MatchBatcher group path and ReplayCounterTable's mixer all use it too.
+// (every cache and tier index), the match engines' masked keys and the
+// MatchBatcher group path use it too. Replay counters need no hash: their
+// slots are numbered densely per epoch.
 // No emulated output depends on where it puts a key in a host-side index:
 // engine chains order entries by stamp and priority, caches and tiers evict
 // by LRU. Steering does depend on it, so it must not change.

@@ -169,10 +169,10 @@ void CacheStore::evict_tail() {
     if (evict_sink_ != nullptr) {
         evict_sink_(evict_ctx_, slots_[victim].key, slots_[victim].entry);
     }
-    // Recycle: the slot keeps its key/steps vector capacity for the next
+    // Recycle: the slot keeps its key/word-run capacity for the next
     // insert (the allocation-free refill path).
     slots_[victim].key.clear();
-    slots_[victim].entry.steps.clear();
+    slots_[victim].entry.words.clear();
     free_.push_back(victim);
     --live_;
 }
@@ -299,7 +299,7 @@ void CacheStore::clear() {
             index_[i] = IndexCell{};
         }
         slots_[s].key.clear();
-        slots_[s].entry.steps.clear();
+        slots_[s].entry.words.clear();
         slots_[s].prev = slots_[s].next = kNil;
         free_.push_back(s);
         s = next;

@@ -1,8 +1,9 @@
 // sim/table_state.h — runtime state of deployed tables: the entry list plus
 // its match engine for regular tables, and the flow-cache store (LRU with an
-// insertion rate limiter, §3.2.2) for cache tables. Cache entries hold
-// replay lists — the recorded per-covered-table outcomes a hit re-executes —
-// and per-origin replay counters feed the counter map (§4.1.2).
+// insertion rate limiter, §3.2.2) for cache tables. A cache entry is one
+// flat word run holding the recorded per-covered-table outcomes a hit
+// re-executes; each outcome names a replay slot of the epoch, whose counter
+// feeds the counter map (§4.1.2).
 #pragma once
 
 #include <cstdint>
@@ -75,13 +76,6 @@ private:
     std::uint64_t updates_ = 0;
 };
 
-/// One recorded covered-table outcome inside a cache entry.
-struct ReplayStep {
-    ir::NodeId origin_node = ir::kNoNode;  ///< deployed node id
-    int action_index = -1;                 ///< action in the origin table
-    std::vector<std::uint64_t> action_data;
-};
-
 /// Exact-match LRU flow cache with an insertion rate limiter.
 ///
 /// Storage (ISSUE 5): one contiguous slot array with *intrusive* prev/next
@@ -92,7 +86,7 @@ struct ReplayStep {
 /// of (hash, slot) cells and an LRU touch is three index writes. Slot and
 /// index storage grow geometrically and are recycled through a free list,
 /// so a warm cache performs zero heap allocations per lookup, touch,
-/// insert, or eviction (recycled slots reuse their key/replay-vector
+/// insert, or eviction (recycled slots reuse their key/word-run
 /// capacity). Semantics — LRU eviction order, refresh-on-reinsert, the
 /// token-bucket insertion limiter, and zero-capacity behavior — are
 /// bit-identical to the list-based store (tests mirror randomized op
@@ -101,8 +95,13 @@ class CacheStore {
 public:
     explicit CacheStore(const ir::CacheConfig& config);
 
+    /// One cached flow's replay run: per recorded covered-table outcome, a
+    /// header word (the outcome's replay slot relative to the cache's first
+    /// slot in the low 32 bits, its argument count n in the high 32) and
+    /// then its n action-argument words. The emulator writes and decodes
+    /// the run; the stores only move it.
     struct CacheEntry {
-        std::vector<ReplayStep> steps;
+        std::vector<std::uint64_t> words;
     };
 
     /// Eviction sink: called with the victim's key/entry *before* the slot

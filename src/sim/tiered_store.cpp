@@ -78,7 +78,7 @@ void FlatTier::lru_push_front(std::uint32_t s) {
 void FlatTier::release_slot(std::uint32_t s) {
     Slot& slot = slots_[s];
     slot.key.clear();  // capacity retained for the next swap-in
-    slot.entry.steps.clear();
+    slot.entry.words.clear();
     slot.hash = 0;
     slot.hits = 0;
     slot.live = false;
@@ -191,7 +191,7 @@ void FlatTier::clear() {
         }
         slots_[s].prev = slots_[s].next = kNil;
         slots_[s].key.clear();
-        slots_[s].entry.steps.clear();
+        slots_[s].entry.words.clear();
         slots_[s].hash = 0;
         slots_[s].hits = 0;
         slots_[s].live = false;
@@ -340,7 +340,7 @@ void TieredStore::flush_batch() {
             dram_.insert_swap(scratch_key_, scratch_entry_);
         }
         scratch_key_.clear();
-        scratch_entry_.steps.clear();
+        scratch_entry_.words.clear();
     }
     pending_.clear();
     const std::uint32_t every = config_.tiers.decay_every;

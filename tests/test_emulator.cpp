@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "ir/builder.h"
 #include "sim/emulator.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace pipeleon::sim {
 namespace {
@@ -301,6 +306,178 @@ TEST(Emulator, CacheReplaysMissOutcomes) {
     EXPECT_DOUBLE_EQ(r2.cycles, 12.0);
 }
 
+/// Replay against an independent oracle. A randomized chain of exact,
+/// ternary and LPM tables runs behind one cache covering all of them: some
+/// tables have no default, actions take arguments (set_from_arg,
+/// forward_from_arg), and a drop sits partway along. Every packet must
+/// leave the cached program with the fields, egress and drop verdict the
+/// uncached chain gives it, and read_counters().replays must equal a model
+/// built from the uncached walks: per cache hit, one replay per covered
+/// table the flow visited, under the action that ran there (a miss counts
+/// as the table's default, and not at all without one).
+TEST(Emulator, CacheReplayMatchesUncachedOracle) {
+    constexpr int kTables = 6;
+    constexpr int kWidth = 8;
+    util::Rng rng(17);
+    const MatchKind kinds[kTables] = {MatchKind::Exact, MatchKind::Ternary,
+                                      MatchKind::Lpm,   MatchKind::Exact,
+                                      MatchKind::Ternary, MatchKind::Lpm};
+    std::vector<std::string> fields;  // every field an action writes
+    std::vector<Table> tables;
+    for (int t = 0; t < kTables; ++t) {
+        const std::string x = util::format("x%d", t);
+        const std::string y = util::format("y%d", t);
+        fields.push_back(x);
+        fields.push_back(y);
+        Action set_two;  // two arguments
+        set_two.name = "set_two";
+        set_two.primitives.push_back(Primitive::set_from_arg(x, 0));
+        set_two.primitives.push_back(Primitive::set_from_arg(y, 1));
+        Action fwd;
+        fwd.name = "fwd";
+        fwd.primitives.push_back(Primitive::forward_from_arg(0));
+        fwd.primitives.push_back(Primitive::add_const(x, 3));
+        Action mark;  // no arguments
+        mark.name = "mark";
+        mark.primitives.push_back(Primitive::set_const(y, 100 + t));
+        TableSpec spec(util::format("t%d", t));
+        spec.key(util::format("k%d", t), kinds[t], kWidth)
+            .action(set_two)
+            .action(fwd)
+            .action(mark);
+        if (t == 2) spec.drop_action("deny");
+        // t0 and t4 have no default; the others pick one at random.
+        if (t != 0 && t != 4) {
+            const char* defaults[] = {"set_two", "fwd", "mark"};
+            spec.default_to(defaults[rng.next_below(3)]);
+        }
+        tables.push_back(spec.build());
+    }
+
+    ProgramBuilder plain_b("plain");
+    for (const Table& t : tables) plain_b.append(t);
+    ProgramBuilder cached_b("cached");
+    ir::Table cache;
+    cache.name = "cache_all";
+    cache.role = ir::TableRole::Cache;
+    for (int t = 0; t < kTables; ++t) {
+        cache.keys.push_back({util::format("k%d", t), MatchKind::Exact, kWidth});
+        cache.origin_tables.push_back(tables[static_cast<std::size_t>(t)].name);
+    }
+    Action hit;
+    hit.name = "cache_hit";
+    cache.actions.push_back(hit);
+    cache.cache.capacity = 4096;
+    cache.cache.max_insert_per_sec = 1e9;
+    const NodeId cache_node = cached_b.append(cache);
+    NodeId prev = kNoNode;
+    for (const Table& t : tables) {
+        const NodeId id = cached_b.add(t);
+        if (prev == kNoNode) {
+            cached_b.connect_miss(cache_node, id);
+        } else {
+            cached_b.connect(prev, id);
+        }
+        prev = id;
+    }
+    Emulator plain(test_model(), plain_b.build(), {});
+    Emulator cached(test_model(), cached_b.build(), {});
+
+    // Random entries, installed in the same order in both programs.
+    for (int t = 0; t < kTables; ++t) {
+        const Table& table = tables[static_cast<std::size_t>(t)];
+        const int actions = static_cast<int>(table.actions.size());
+        for (int i = 0; i < 10; ++i) {
+            // Keys and flows draw from [0, 32), so entries match often;
+            // LPM prefixes run from 3 bits (every flow) to all 8.
+            const std::uint64_t v = rng.next_below(32);
+            TableEntry e;
+            switch (kinds[t]) {
+                case MatchKind::Ternary:
+                    e.key = {FieldMatch::ternary(v, rng.next_below(32))};
+                    e.priority = static_cast<int>(rng.next_below(4));
+                    break;
+                case MatchKind::Lpm:
+                    e.key = {FieldMatch::lpm(
+                        v, 3 + static_cast<int>(rng.next_below(6)))};
+                    break;
+                default: e.key = {FieldMatch::exact(v)}; break;
+            }
+            e.action_index = static_cast<int>(rng.next_below(
+                static_cast<std::uint64_t>(actions)));
+            e.action_data = {1 + rng.next_below(1000), 1 + rng.next_below(1000)};
+            ASSERT_TRUE(plain.insert_entry(table.name, e));
+            ASSERT_TRUE(cached.insert_entry(table.name, e));
+        }
+    }
+
+    std::vector<std::vector<std::uint64_t>> flows(48);
+    for (auto& f : flows) {
+        for (int t = 0; t < kTables; ++t) f.push_back(rng.next_below(32));
+    }
+    auto packet_for = [](Emulator& emu, const std::vector<std::uint64_t>& f) {
+        Packet pkt;
+        for (int t = 0; t < kTables; ++t) {
+            pkt.set(emu.fields().intern(util::format("k%d", t)),
+                    f[static_cast<std::size_t>(t)]);
+        }
+        return pkt;
+    };
+
+    // The model: each flow's uncached walk, read back as one window's
+    // counters, gives the replays its later packets owe.
+    using Replays = decltype(profile::RawCounters{}.replays);
+    std::vector<Replays> owed(flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+        plain.begin_window();
+        Packet pkt = packet_for(plain, flows[f]);
+        plain.process(pkt);
+        const profile::RawCounters raw = plain.read_counters();
+        for (const ir::Node& n : plain.program().nodes()) {
+            const auto i = static_cast<std::size_t>(n.id);
+            for (std::size_t a = 0; a < n.table.actions.size(); ++a) {
+                if (raw.action_hits[i][a] != 0) {
+                    owed[f][{cache_node, n.table.name, n.table.actions[a].name}] += 1;
+                }
+            }
+            if (raw.misses[i] != 0 && n.table.default_action >= 0) {
+                const auto d = static_cast<std::size_t>(n.table.default_action);
+                owed[f][{cache_node, n.table.name, n.table.actions[d].name}] += 1;
+            }
+        }
+    }
+
+    Replays want;
+    std::uint64_t hits = 0, drops = 0;
+    std::vector<bool> seen(flows.size(), false);
+    for (int i = 0; i < 600; ++i) {
+        const std::size_t f = rng.next_below(flows.size());
+        Packet a = packet_for(plain, flows[f]);
+        Packet b = packet_for(cached, flows[f]);
+        plain.process(a);
+        cached.process(b);
+        ASSERT_EQ(a.dropped(), b.dropped()) << "packet " << i;
+        ASSERT_EQ(a.egress_port(), b.egress_port()) << "packet " << i;
+        for (const std::string& name : fields) {
+            ASSERT_EQ(a.get(plain.fields().intern(name)),
+                      b.get(cached.fields().intern(name)))
+                << name << ", packet " << i;
+        }
+        drops += a.dropped() ? 1 : 0;
+        if (seen[f]) {
+            ++hits;
+            for (const auto& [key, n] : owed[f]) want[key] += n;
+        }
+        seen[f] = true;
+    }
+    // The stream exercised both verdicts and the replay of every kind.
+    EXPECT_GT(drops, 0u);
+    EXPECT_LT(drops, 600u);
+    const profile::RawCounters raw = cached.read_counters();
+    EXPECT_EQ(raw.cache_hits[static_cast<std::size_t>(cache_node)], hits);
+    EXPECT_EQ(raw.replays, want);
+}
+
 TEST(Emulator, CacheLruEviction) {
     Emulator emu(test_model(), cached_two_tables(), no_instr());
     FieldId src = emu.fields().intern("src");
@@ -518,6 +695,79 @@ TEST(Emulator, IncrementalReconfigureCoolsChangedCaches) {
     Emulator::ReconfigureStats stats = emu.reconfigure_incremental(q);
     EXPECT_EQ(stats.caches_kept_warm, 0u);
     EXPECT_EQ(emu.cache_size("cache_A_B"), 0u);  // cold: definition changed
+}
+
+/// An epoch that renumbers every node must not stale a warm cache: its runs
+/// name replay slots relative to the cache's block, never node ids.
+TEST(Emulator, IncrementalReconfigureRenumberedOriginsReplayCorrectly) {
+    const Program p = cached_two_tables();
+    Emulator emu(test_model(), p, {});  // instrumented
+    ASSERT_TRUE(emu.insert_entry("A", exact_entry(1, 0, {11})));
+    ASSERT_TRUE(emu.insert_entry("B", exact_entry(2, 0, {22})));
+    auto flow = [&emu] {
+        Packet pkt;
+        pkt.set(emu.fields().intern("src"), 1);
+        pkt.set(emu.fields().intern("dst"), 2);
+        return pkt;
+    };
+    Packet warm = flow();
+    emu.process(warm);
+    ASSERT_EQ(emu.cache_size("cache_A_B"), 1u);
+
+    // Z -> cache(A,B) -> A -> B: the same cache and tables, each one node
+    // id further along.
+    ProgramBuilder b("renumbered");
+    const NodeId z = b.add(TableSpec("Z").key("zzz").noop_action("z1", 1).build());
+    const NodeId c = b.add(p.node(p.find_table("cache_A_B")).table);
+    const NodeId na = b.add(p.node(p.find_table("A")).table);
+    const NodeId nb = b.add(p.node(p.find_table("B")).table);
+    b.connect(z, c);
+    b.connect_miss(c, na);
+    b.connect(na, nb);
+    b.set_root(z);
+    const Program q = b.build();
+    ASSERT_NE(q.find_table("A"), p.find_table("A"));
+
+    const Emulator::ReconfigureStats stats = emu.reconfigure_incremental(q);
+    ASSERT_EQ(stats.caches_kept_warm, 1u);
+    ASSERT_EQ(emu.cache_size("cache_A_B"), 1u);
+
+    Packet hit = flow();
+    emu.process(hit);
+    EXPECT_EQ(hit.get(emu.fields().find("x")), 11u);
+    EXPECT_EQ(hit.get(emu.fields().find("y")), 22u);
+    const profile::RawCounters raw = emu.read_counters();
+    EXPECT_EQ(raw.cache_hits[static_cast<std::size_t>(c)], 1u);
+    const decltype(raw.replays) want = {{{c, "A", "set_x"}, 1u},
+                                        {{c, "B", "set_y"}, 1u}};
+    EXPECT_EQ(raw.replays, want);
+}
+
+/// A cache whose own definition is unchanged still cools when an origin
+/// table's definition changes: its recorded outcomes, and the layout of its
+/// replay block, belong to the old table.
+TEST(Emulator, IncrementalReconfigureCoolsCacheWhenOriginChanges) {
+    const Program p = cached_two_tables();
+    Emulator emu(test_model(), p, no_instr());
+    ASSERT_TRUE(emu.insert_entry("A", exact_entry(1, 0, {11})));
+    Packet warm;
+    warm.set(emu.fields().intern("src"), 1);
+    warm.set(emu.fields().intern("dst"), 2);
+    emu.process(warm);
+    ASSERT_EQ(emu.cache_size("cache_A_B"), 1u);
+
+    Program q = p;
+    ir::Node& a = q.node(q.find_table("A"));
+    Action extra;
+    extra.name = "set_w";
+    extra.primitives.push_back(Primitive::set_from_arg("w", 0));
+    a.table.actions.push_back(extra);
+    a.set_uniform_next(q.find_table("B"));
+    q.validate();
+
+    const Emulator::ReconfigureStats stats = emu.reconfigure_incremental(q);
+    EXPECT_EQ(stats.caches_kept_warm, 0u);
+    EXPECT_EQ(emu.cache_size("cache_A_B"), 0u);
 }
 
 TEST(Emulator, SwitchCaseRoutesByAction) {

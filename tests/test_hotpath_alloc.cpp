@@ -103,11 +103,12 @@ TEST(HotPathAlloc, HookCountsAllocations) {
     EXPECT_GE(g_alloc_count.load(), 1u) << "override not linked in";
 }
 
-/// The flow-cache hit path: once every flow in the burst has been learned,
-/// replaying the burst is pure cache hits and must not touch the heap.
-TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
-    Emulator emu(bluefield2_model(), test_support::cached_chain("p", kChainLen),
-                 {});
+/// Runs `prog` on two workers until every flow of a fixed burst is cached,
+/// then replays the burst 10 more times; returns the heap allocations those
+/// polls made, and (in `hits`) the cache hits they scored.
+std::uint64_t cached_hit_path_allocations(const ir::Program& prog,
+                                          std::uint64_t& hits) {
+    Emulator emu(bluefield2_model(), prog, {});
     emu.set_worker_count(2);
 
     util::Rng rng(6);
@@ -147,15 +148,36 @@ TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
         emu.poll(io, out);
     }
     g_counting.store(false);
+    const std::uint64_t allocs = g_alloc_count.load();
 
-    EXPECT_EQ(g_alloc_count.load(), 0u)
+    profile::RawCounters after = emu.read_counters();
+    hits = 0;
+    for (std::uint64_t h : after.cache_hits) hits += h;
+    for (std::uint64_t h : before.cache_hits) hits -= h;
+    return allocs;
+}
+
+/// The flow-cache hit path: once every flow in the burst has been learned,
+/// replaying the burst is pure cache hits and must not touch the heap.
+TEST(HotPathAlloc, CachedProgramHitPathMakesZeroAllocations) {
+    std::uint64_t hits = 0;
+    EXPECT_EQ(cached_hit_path_allocations(
+                  test_support::cached_chain("p", kChainLen), hits),
+              0u)
         << "cache-hit replay path allocated in steady state";
     // The cache was genuinely exercised during the counted region.
-    profile::RawCounters after = emu.read_counters();
-    std::uint64_t hits_before = 0, hits_after = 0;
-    for (std::uint64_t h : before.cache_hits) hits_before += h;
-    for (std::uint64_t h : after.cache_hits) hits_after += h;
-    EXPECT_GT(hits_after, hits_before);
+    EXPECT_GT(hits, 0u);
+}
+
+/// The same when the covered tables' actions take arguments: a hit decodes
+/// them from the cached run in place.
+TEST(HotPathAlloc, CachedProgramWithActionArgsHitPathMakesZeroAllocations) {
+    std::uint64_t hits = 0;
+    EXPECT_EQ(cached_hit_path_allocations(
+                  test_support::cached_chain("p", kChainLen, 2), hits),
+              0u)
+        << "cache-hit replay of inline arguments allocated in steady state";
+    EXPECT_GT(hits, 0u);
 }
 
 /// The plain chain through the descriptor-ring I/O path: once the
@@ -243,9 +265,7 @@ TEST(HotPathAlloc, TieredStoreLookupBatchMakesZeroAllocations) {
         key.clear();
         key.push_back(k);
         key.push_back(k ^ 0xABCDu);
-        CacheStore::CacheEntry e;
-        e.steps.push_back(ReplayStep{static_cast<ir::NodeId>(k), 0, {}});
-        ASSERT_TRUE(store.insert(key, std::move(e), 0.0));
+        ASSERT_TRUE(store.insert(key, CacheStore::CacheEntry{{k}}, 0.0));
     }
 
     // One deterministic round: a sequential sweep with a batch boundary

@@ -167,12 +167,7 @@ TEST(MatchBatch, KeysDifferingAboveBit32SpreadOverLowBits) {
 KeyVec make_key(std::uint64_t k) { return KeyVec{k, k * 0x9e3779b97f4a7c15ULL}; }
 
 CacheStore::CacheEntry make_entry(std::uint64_t k) {
-    CacheStore::CacheEntry e;
-    ReplayStep step;
-    step.origin_node = static_cast<ir::NodeId>(k % 7);
-    step.action_index = static_cast<int>(k % 3);
-    e.steps.push_back(step);
-    return e;
+    return CacheStore::CacheEntry{{k % 7, k % 3}};
 }
 
 /// prefetch() is side-effect-free at any fill level, including empty.

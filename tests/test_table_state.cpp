@@ -150,12 +150,7 @@ TEST(TableState, RandomOpsKeepOrderCountsAndCapacity) {
 }
 
 CacheStore::CacheEntry make_payload(int marker) {
-    CacheStore::CacheEntry e;
-    ReplayStep step;
-    step.origin_node = marker;
-    step.action_index = 0;
-    e.steps.push_back(step);
-    return e;
+    return CacheStore::CacheEntry{{static_cast<std::uint64_t>(marker)}};
 }
 
 TEST(CacheStore, LruEvictsLeastRecentlyUsed) {
@@ -182,7 +177,7 @@ TEST(CacheStore, InsertRefreshesExistingKey) {
     EXPECT_TRUE(store.insert({5}, make_payload(1), 0.0));
     EXPECT_TRUE(store.insert({5}, make_payload(2), 0.1));
     EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.lookup({5})->steps[0].origin_node, 2);
+    EXPECT_EQ(store.lookup({5})->words[0], 2u);
 }
 
 TEST(CacheStore, TokenBucketLimitsInserts) {
@@ -239,7 +234,7 @@ TEST(CacheStore, ClearOfGrownSparseIndexRefillsLikeFresh) {
             const CacheStore::CacheEntry* b = fresh.lookup(key);
             ASSERT_EQ(a == nullptr, b == nullptr) << "op " << op;
             if (a != nullptr) {
-                ASSERT_EQ(a->steps[0].origin_node, b->steps[0].origin_node);
+                ASSERT_EQ(a->words, b->words);
             }
         }
         ASSERT_EQ(store.size(), fresh.size());
@@ -351,8 +346,7 @@ void mirror_random_ops(std::uint64_t seed, ir::CacheConfig cfg, int ops,
             const CacheStore::CacheEntry* b = ref.lookup(key);
             ASSERT_EQ(a != nullptr, b != nullptr) << "lookup divergence op " << op;
             if (a != nullptr) {
-                ASSERT_EQ(a->steps.size(), b->steps.size());
-                ASSERT_EQ(a->steps[0].origin_node, b->steps[0].origin_node);
+                ASSERT_EQ(a->words, b->words);
             }
         } else if (what < 9) {
             auto payload_id = static_cast<ir::NodeId>(op);

@@ -27,16 +27,11 @@ using ir::TableSpec;
 using ir::kNoNode;
 
 CacheStore::CacheEntry payload(int marker) {
-    CacheStore::CacheEntry e;
-    ReplayStep step;
-    step.origin_node = marker;
-    step.action_index = 0;
-    e.steps.push_back(step);
-    return e;
+    return CacheStore::CacheEntry{{static_cast<std::uint64_t>(marker)}};
 }
 
 int marker_of(const CacheStore::CacheEntry& e) {
-    return e.steps.empty() ? -1 : static_cast<int>(e.steps[0].origin_node);
+    return e.words.empty() ? -1 : static_cast<int>(e.words[0]);
 }
 
 ir::CacheConfig tiered_config(std::size_t sram, std::size_t dram,
@@ -172,7 +167,7 @@ TEST(TieredStore, PayloadSurvivesTheCascade) {
     for (std::uint64_t k = 0; k < 4; ++k) {
         ASSERT_TRUE(store.insert({k}, payload(100 + static_cast<int>(k)), 0.0));
     }
-    // Keys 0 and 1 are now in the host tier; their replay steps rode along.
+    // Keys 0 and 1 are now in the host tier; their replay runs rode along.
     const TieredStore::Result r = store.lookup({0});
     ASSERT_EQ(r.tier, 2);
     EXPECT_EQ(marker_of(*r.entry), 100);
@@ -483,8 +478,7 @@ TEST(FlatTier, ClearOfGrownSparseIndexRefillsLikeFresh) {
             const std::uint32_t b = find(fresh, k);
             ASSERT_EQ(a == FlatTier::kNil, b == FlatTier::kNil) << "op " << op;
             if (a != FlatTier::kNil) {
-                ASSERT_EQ(tier.entry(a).steps[0].origin_node,
-                          fresh.entry(b).steps[0].origin_node);
+                ASSERT_EQ(tier.entry(a).words, fresh.entry(b).words);
                 tier.touch(a);
                 fresh.touch(b);
             }
