@@ -166,16 +166,20 @@ CmpOp cmp_op_from_string(const std::string& s) {
     throw std::invalid_argument("unknown comparison op: " + s);
 }
 
-bool BranchCond::evaluate(std::uint64_t field_value) const {
+bool compare(CmpOp op, std::uint64_t lhs, std::uint64_t rhs) {
     switch (op) {
-        case CmpOp::Eq: return field_value == value;
-        case CmpOp::Ne: return field_value != value;
-        case CmpOp::Lt: return field_value < value;
-        case CmpOp::Le: return field_value <= value;
-        case CmpOp::Gt: return field_value > value;
-        case CmpOp::Ge: return field_value >= value;
+        case CmpOp::Eq: return lhs == rhs;
+        case CmpOp::Ne: return lhs != rhs;
+        case CmpOp::Lt: return lhs < rhs;
+        case CmpOp::Le: return lhs <= rhs;
+        case CmpOp::Gt: return lhs > rhs;
+        case CmpOp::Ge: return lhs >= rhs;
     }
     return false;
+}
+
+bool BranchCond::evaluate(std::uint64_t field_value) const {
+    return compare(op, field_value, value);
 }
 
 }  // namespace pipeleon::ir

@@ -104,6 +104,8 @@ enum class CmpOp : std::uint8_t { Eq, Ne, Lt, Le, Gt, Ge };
 
 const char* to_string(CmpOp op);
 CmpOp cmp_op_from_string(const std::string& s);
+/// `lhs <op> rhs`.
+bool compare(CmpOp op, std::uint64_t lhs, std::uint64_t rhs);
 
 /// A conditional branch node's predicate: `field <op> value`. The paper's
 /// model treats branches as (nearly) free — no memory access — but the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 namespace pipeleon::sim {
@@ -14,11 +15,56 @@ using ir::Node;
 using ir::NodeId;
 using ir::TableRole;
 
+namespace {
+
+/// The sampling period of `cfg` (Emulator::sample_period_).
+std::uint64_t sample_period(const profile::InstrumentationConfig& cfg) {
+    if (!cfg.enabled || cfg.sampling_rate <= 0.0) return 0;
+    if (cfg.sampling_rate >= 1.0) return 1;
+    const auto period =
+        static_cast<std::uint64_t>(std::llround(1.0 / cfg.sampling_rate));
+    return period == 0 ? 1 : period;
+}
+
+/// Runs an action's primitives (compile() dropped its NoOps) on the packet.
+/// The caller charges the action's cost, one `+=` per action.
+template <class Primitives>
+inline void run_primitives(const Primitives& primitives, Packet& packet,
+                           std::span<const std::uint64_t> args) {
+    for (const auto& p : primitives) {
+        std::uint64_t value = p.value;
+        if (p.arg_index >= 0 &&
+            static_cast<std::size_t>(p.arg_index) < args.size()) {
+            value = args[static_cast<std::size_t>(p.arg_index)];
+        }
+        switch (p.kind) {
+            case ir::PrimitiveKind::SetConst: packet.set(p.dst, value); break;
+            case ir::PrimitiveKind::CopyField:
+                packet.set(p.dst, packet.get(p.src));
+                break;
+            case ir::PrimitiveKind::AddConst:
+                packet.set(p.dst, packet.get(p.dst) + value);
+                break;
+            case ir::PrimitiveKind::SubConst:
+                packet.set(p.dst, packet.get(p.dst) - value);
+                break;
+            case ir::PrimitiveKind::Drop: packet.mark_dropped(); break;
+            case ir::PrimitiveKind::Forward:
+                packet.set_egress_port(value);
+                break;
+            case ir::PrimitiveKind::NoOp: break;
+        }
+    }
+}
+
+}  // namespace
+
 Emulator::Emulator(NicModel model, ir::Program program,
                    profile::InstrumentationConfig instrumentation)
     : model_(std::move(model)),
       program_(std::move(program)),
-      instrumentation_(instrumentation) {
+      instrumentation_(instrumentation),
+      sample_period_(sample_period(instrumentation)) {
     program_.validate();
     mid_.packets = metrics_.counter("sim.packets");
     mid_.drops = metrics_.counter("sim.drops");
@@ -58,10 +104,14 @@ void Emulator::compile() {
     tables_.clear();
     tables_.resize(n);
 
-    auto compile_action = [this](const ir::Action& a) {
+    const cost::CostParams& costs = model_.costs;
+    auto compile_action = [&](const ir::Action& a, double scale, NodeId next) {
         CompiledAction ca;
+        ca.cost = static_cast<double>(a.primitives.size()) * costs.l_act * scale;
+        ca.next = next;
         ca.drops = a.drops();
         for (const ir::Primitive& p : a.primitives) {
+            if (p.kind == ir::PrimitiveKind::NoOp) continue;
             CompiledPrimitive cp;
             cp.kind = p.kind;
             cp.value = p.value;
@@ -75,20 +125,52 @@ void Emulator::compile() {
 
     for (const Node& node : program_.nodes()) {
         CompiledNode& cn = compiled_[static_cast<std::size_t>(node.id)];
+        cn.core = node.core;
+        cn.scale = node.core == ir::CoreKind::Cpu ? costs.cpu_slowdown : 1.0;
+        cn.counter = costs.l_counter * cn.scale;
         if (node.is_branch()) {
+            cn.kind = CompiledNode::Kind::Branch;
+            cn.branch = costs.l_branch * cn.scale;
             cn.branch_field = fields_.intern(node.cond.field);
+            cn.branch_op = node.cond.op;
+            cn.branch_value = node.cond.value;
+            cn.next = node.true_next;
+            cn.miss_next = node.false_next;
             continue;
         }
-        for (const ir::MatchKey& k : node.table.keys) {
+        const ir::Table& t = node.table;
+        cn.l_mat = costs.l_mat;
+        if (t.tier == ir::MemTier::Fast && costs.l_mat_fast > 0.0) {
+            cn.l_mat = costs.l_mat_fast;
+        } else if (t.tier == ir::MemTier::Host && costs.l_tier_host > 0.0) {
+            // A table placed in host memory pays the PCIe crossing on every
+            // probe (no DMA batching for table state: entries are fetched on
+            // demand).
+            cn.l_mat = costs.l_mat + costs.l_tier_host;
+        }
+        cn.probe = cn.l_mat * cn.scale;
+        for (const ir::MatchKey& k : t.keys) {
             cn.key_fields.push_back(fields_.intern(k.field));
         }
-        for (const ir::Action& a : node.table.actions) {
-            cn.actions.push_back(compile_action(a));
+        for (std::size_t a = 0; a < t.actions.size(); ++a) {
+            cn.actions.push_back(compile_action(
+                t.actions[a], cn.scale, node.next_for_action(static_cast<int>(a))));
         }
-        if (node.table.role != TableRole::Cache) {
-            tables_[static_cast<std::size_t>(node.id)] =
-                std::make_unique<TableState>(node.table);
+        if (t.role == TableRole::Cache) {
+            cn.kind = CompiledNode::Kind::Cache;
+            cn.next = node.next_by_action.empty() ? kNoNode : node.next_by_action[0];
+            cn.miss_next = node.miss_next;
+            continue;
         }
+        cn.merged_cache = t.role == TableRole::MergedCache;
+        if (t.default_action >= 0) {
+            cn.miss_action = &cn.actions[static_cast<std::size_t>(t.default_action)];
+            cn.miss_next = node.next_for_action(t.default_action);
+        } else {
+            cn.miss_next = node.miss_next;
+        }
+        tables_[static_cast<std::size_t>(node.id)] = std::make_unique<TableState>(t);
+        cn.state = tables_[static_cast<std::size_t>(node.id)].get();
     }
 
     // Replay slots: each cache's block holds, per deployed origin table in
@@ -107,14 +189,19 @@ void Emulator::compile() {
             cn.covered_by.push_back(Cover{
                 node.id, static_cast<std::uint32_t>(replay_slots_.size()) -
                              cache.first_slot});
-            replay_slots_.push_back(ReplaySlot{
-                node.id, covered, -1,
-                t.default_action >= 0
-                    ? &cn.actions[static_cast<std::size_t>(t.default_action)]
-                    : nullptr});
+            // A replay runs at the cache's scale, not the origin's.
+            auto slot = [&](int action) {
+                const int a = action >= 0 ? action : t.default_action;
+                if (a < 0) return ReplaySlot{node.id, covered, action, nullptr, 0.0};
+                const ir::Action& ia = t.actions[static_cast<std::size_t>(a)];
+                return ReplaySlot{
+                    node.id, covered, action, &cn.actions[static_cast<std::size_t>(a)],
+                    static_cast<double>(ia.primitives.size()) * costs.l_act *
+                        cache.scale};
+            };
+            replay_slots_.push_back(slot(-1));
             for (std::size_t a = 0; a < cn.actions.size(); ++a) {
-                replay_slots_.push_back(ReplaySlot{
-                    node.id, covered, static_cast<int>(a), &cn.actions[a]});
+                replay_slots_.push_back(slot(static_cast<int>(a)));
             }
         }
     }
@@ -137,12 +224,10 @@ void Emulator::compile() {
     // gathers when the walk arrives. A root cache table with a non-empty key
     // enables the pipeline for this program.
     front_cache_ = kNoNode;
-    const NodeId root_id = program_.root();
-    if (root_id != kNoNode) {
-        const Node& root = program_.node(root_id);
-        if (root.is_table() && root.table.role == TableRole::Cache &&
-            !compiled_[static_cast<std::size_t>(root_id)].key_fields.empty()) {
-            front_cache_ = root_id;
+    if (program_.root() != kNoNode) {
+        const CompiledNode& root = compiled_[static_cast<std::size_t>(program_.root())];
+        if (root.kind == CompiledNode::Kind::Cache && !root.key_fields.empty()) {
+            front_cache_ = program_.root();
         }
     }
 
@@ -249,7 +334,7 @@ void Emulator::init_worker_state(int w) {
     // their pages on that CPU's NUMA node.
     auto wi = static_cast<std::size_t>(w);
     if (cache_shards_[wi].empty()) cache_shards_[wi] = make_cache_set();
-    worker_counters_[wi].reset_for(program_, replay_slots_.size());
+    worker_counters_[wi].shard.reset_for(program_, replay_slots_.size());
     scratch_[wi].key.reserve(16);
     scratch_[wi].fills.reserve(8);
 }
@@ -541,6 +626,7 @@ bool Emulator::apply_op_unlocked(ControlOp& op, int* count_out,
             return true;
         case ControlOp::Kind::SetInstrumentation:
             instrumentation_ = op.instrumentation;
+            sample_period_ = sample_period(instrumentation_);
             return true;
         case ControlOp::Kind::SetWorkerCount:
             set_worker_count_unlocked(op.workers);
@@ -587,51 +673,6 @@ std::size_t Emulator::cache_size(const std::string& table) const {
     return total;
 }
 
-bool Emulator::sampled_for(std::uint64_t seq) const {
-    if (!instrumentation_.enabled) return false;
-    double rate = instrumentation_.sampling_rate;
-    if (rate >= 1.0) return true;
-    if (rate <= 0.0) return false;
-    auto period = static_cast<std::uint64_t>(std::llround(1.0 / rate));
-    return period == 0 || seq % period == 0;
-}
-
-bool Emulator::apply_action(const CompiledAction& action, Packet& packet,
-                            std::span<const std::uint64_t> args, double scale,
-                            double& cycles) const {
-    cycles += static_cast<double>(action.primitives.size()) *
-              model_.costs.l_act * scale;
-    bool dropped = false;
-    for (const CompiledPrimitive& p : action.primitives) {
-        std::uint64_t value = p.value;
-        if (p.arg_index >= 0 &&
-            static_cast<std::size_t>(p.arg_index) < args.size()) {
-            value = args[static_cast<std::size_t>(p.arg_index)];
-        }
-        switch (p.kind) {
-            case ir::PrimitiveKind::SetConst: packet.set(p.dst, value); break;
-            case ir::PrimitiveKind::CopyField:
-                packet.set(p.dst, packet.get(p.src));
-                break;
-            case ir::PrimitiveKind::AddConst:
-                packet.set(p.dst, packet.get(p.dst) + value);
-                break;
-            case ir::PrimitiveKind::SubConst:
-                packet.set(p.dst, packet.get(p.dst) - value);
-                break;
-            case ir::PrimitiveKind::Drop:
-                packet.mark_dropped();
-                dropped = true;
-                break;
-            case ir::PrimitiveKind::Forward:
-                packet.set_egress_port(value);
-                break;
-            case ir::PrimitiveKind::NoOp: break;
-        }
-    }
-    return dropped;
-}
-
 int Emulator::steer_worker(const Packet& packet) const {
     std::lock_guard<std::mutex> lock(control_mu_);
     if (workers_ <= 1) return 0;
@@ -658,52 +699,39 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
     fills.clear();
 
     NodeId cur = program_.root();
-    std::size_t guard = program_.node_count() * 4 + 16;
+    std::size_t guard = compiled_.size() * 4 + 16;
     while (cur != kNoNode) {
         if (guard-- == 0) {
             throw std::runtime_error("Emulator::process: execution did not "
                                      "terminate (cyclic wiring?)");
         }
-        const Node& n = program_.node(cur);
-        const CompiledNode& cn = compiled_[static_cast<std::size_t>(cur)];
-        const double scale =
-            n.core == ir::CoreKind::Cpu ? model_.costs.cpu_slowdown : 1.0;
+        const auto idx = static_cast<std::size_t>(cur);
+        const CompiledNode& cn = compiled_[idx];
         ++result.nodes_visited;
 
-        if (sampled) result.cycles += model_.costs.l_counter * scale;
+        if (sampled) result.cycles += cn.counter;
 
         NodeId next = kNoNode;
-        if (n.is_branch()) {
-            result.cycles += model_.costs.l_branch * scale;
-            bool taken = n.cond.evaluate(packet.get(cn.branch_field));
+        if (cn.kind == CompiledNode::Kind::Branch) {
+            result.cycles += cn.branch;
+            const bool taken =
+                ir::compare(cn.branch_op, packet.get(cn.branch_field), cn.branch_value);
             if (sampled) {
-                auto idx = static_cast<std::size_t>(cur);
                 if (taken) {
                     ++counters.branch_true[idx];
                 } else {
                     ++counters.branch_false[idx];
                 }
             }
-            next = taken ? n.true_next : n.false_next;
+            next = taken ? cn.next : cn.miss_next;
         } else {
             KeyVec& key = scratch.key;
             key.clear();
             for (FieldId f : cn.key_fields) key.push_back(packet.get(f));
 
-            double l_mat = model_.costs.l_mat;
-            if (n.table.tier == ir::MemTier::Fast &&
-                model_.costs.l_mat_fast > 0.0) {
-                l_mat = model_.costs.l_mat_fast;
-            } else if (n.table.tier == ir::MemTier::Host &&
-                       model_.costs.l_tier_host > 0.0) {
-                // A table placed in host memory pays the PCIe crossing on
-                // every probe (no DMA batching for table state: entries are
-                // fetched on demand).
-                l_mat = model_.costs.l_mat + model_.costs.l_tier_host;
-            }
-            if (n.table.role == TableRole::Cache) {
-                TieredStore& store = *caches[static_cast<std::size_t>(cur)];
-                result.cycles += l_mat * scale;  // the tier-0 probe
+            if (cn.kind == CompiledNode::Kind::Cache) {
+                TieredStore& store = *caches[idx];
+                result.cycles += cn.probe;  // the tier-0 probe
                 // Batched pipeline: the lane's group pass already hashed
                 // this key and prefetched its slot — reuse the hash instead
                 // of hashing the key again. Bit-identical to lookup().
@@ -713,16 +741,14 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                         : store.lookup(key);
                 // A lower-tier hit costs extra cycles (DRAM access, or the
                 // host DMA fetch) on top of the probe.
-                result.cycles += tr.extra_cycles * scale;
+                result.cycles += tr.extra_cycles * cn.scale;
                 const CacheStore::CacheEntry* hit = tr.entry;
                 if (hit != nullptr) {
-                    if (sampled) {
-                        ++counters.cache_hits[static_cast<std::size_t>(cur)];
-                    }
+                    if (sampled) ++counters.cache_hits[idx];
                     // Decode the run in place (CacheStore::CacheEntry):
                     // each outcome is a header word, slot relative to this
                     // cache's block and argument count, then its arguments.
-                    // One apply_action, so one +=, per replayed action.
+                    // One +=, of the slot's cost, per replayed action.
                     bool dropped = false;
                     const std::uint64_t* w = hit->words.data();
                     const std::uint64_t* const end = w + hit->words.size();
@@ -734,66 +760,52 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                             w, static_cast<std::size_t>(header >> 32));
                         w += args.size();
                         if (sampled) ++counters.replays[slot];
-                        const CompiledAction* action = replay_slots_[slot].apply;
-                        if (action != nullptr) {
-                            dropped = apply_action(*action, packet, args, scale,
-                                                   result.cycles);
+                        const ReplaySlot& rs = replay_slots_[slot];
+                        if (rs.apply != nullptr) {
+                            result.cycles += rs.cost;
+                            run_primitives(rs.apply->primitives, packet, args);
+                            dropped = rs.apply->drops;
                         }
                     }
                     if (dropped) break;
-                    next = n.next_by_action.empty() ? kNoNode : n.next_by_action[0];
+                    next = cn.next;
                 } else {
-                    if (sampled) {
-                        ++counters.cache_misses[static_cast<std::size_t>(cur)];
-                    }
+                    if (sampled) ++counters.cache_misses[idx];
                     // Miss path: copy the scratch key into the pending fill
                     // (the scratch buffer is reused by downstream nodes).
                     fills.push_back(FillCtx{cur, key, {}});
-                    next = n.miss_next;
+                    next = cn.miss_next;
                 }
             } else {
-                TableState& state = *tables_[static_cast<std::size_t>(cur)];
-                result.cycles += static_cast<double>(state.m()) * l_mat * scale;
-                std::optional<MatchOutcome> outcome = state.lookup(key);
-                bool is_merged_cache = n.table.role == TableRole::MergedCache;
+                const TableState& state = *cn.state;
+                result.cycles += static_cast<double>(state.m()) * cn.l_mat * cn.scale;
+                const std::optional<MatchOutcome> outcome = state.lookup(key);
 
-                int executed_action;
+                const CompiledAction* action = cn.miss_action;
                 std::span<const std::uint64_t> args;
+                std::uint64_t header = 0;  // a miss: the part's first slot
                 if (outcome.has_value()) {
                     const ir::TableEntry& e = state.entries()[outcome->entry_index];
-                    executed_action = e.action_index;
+                    const auto a = static_cast<std::size_t>(e.action_index);
+                    action = &cn.actions[a];
                     args = e.action_data;
+                    header = 1u + a;
                     if (sampled) {
-                        ++counters.action_hits[static_cast<std::size_t>(cur)]
-                                              [static_cast<std::size_t>(
-                                                  executed_action)];
-                        if (is_merged_cache) {
-                            ++counters.cache_hits[static_cast<std::size_t>(cur)];
-                        }
+                        ++counters.action_hits[idx][a];
+                        if (cn.merged_cache) ++counters.cache_hits[idx];
                     }
-                } else {
-                    executed_action = n.table.default_action;
-                    if (sampled) {
-                        ++counters.misses[static_cast<std::size_t>(cur)];
-                        if (is_merged_cache) {
-                            ++counters.cache_misses[static_cast<std::size_t>(cur)];
-                        }
-                    }
+                } else if (sampled) {
+                    ++counters.misses[idx];
+                    if (cn.merged_cache) ++counters.cache_misses[idx];
                 }
 
                 // Record the outcome for any flow cache collecting a fill
                 // for this table: a header word (the outcome's slot in this
                 // table's part of the cache's block, whose first slot is the
-                // miss, plus the argument count), then the arguments. An
-                // uncovered table must not even read the fill list: its
-                // header shares a cache line with the other workers'
-                // scratch, which they write per node.
+                // miss, plus the argument count), then the arguments. Most
+                // tables are uncovered and skip the fill list unread.
                 if (!cn.covered_by.empty() && !fills.empty()) {
-                    const std::uint64_t header =
-                        (outcome.has_value()
-                             ? 1u + static_cast<std::uint64_t>(executed_action)
-                             : 0u) |
-                        static_cast<std::uint64_t>(args.size()) << 32;
+                    header |= static_cast<std::uint64_t>(args.size()) << 32;
                     for (FillCtx& fill : fills) {
                         for (const Cover& cover : cn.covered_by) {
                             if (cover.cache != fill.cache_node) continue;
@@ -805,20 +817,17 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
                     }
                 }
 
-                bool dropped = false;
-                if (executed_action >= 0) {
-                    dropped = apply_action(
-                        cn.actions[static_cast<std::size_t>(executed_action)],
-                        packet, args, scale, result.cycles);
+                if (action != nullptr) {
+                    result.cycles += action->cost;
+                    run_primitives(action->primitives, packet, args);
+                    if (action->drops) break;
                 }
-                if (dropped) break;
-                next = outcome.has_value() || n.table.default_action >= 0
-                           ? n.next_for_action(executed_action)
-                           : n.miss_next;
+                next = outcome.has_value() ? action->next : cn.miss_next;
             }
         }
 
-        if (next != kNoNode && program_.node(next).core != n.core) {
+        if (next != kNoNode &&
+            compiled_[static_cast<std::size_t>(next)].core != cn.core) {
             result.cycles += model_.costs.l_migration;
             ++result.migrations;
         }
@@ -1005,16 +1014,16 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
         // decision matches what a process() loop would have made.
         pool_->run([&](int w) {
             auto wi = static_cast<std::size_t>(w);
-            worker_counters_[wi].reset_for(program_, replay_slots_.size());
+            CounterShard& shard = worker_counters_[wi].shard;
+            shard.reset_for(program_, replay_slots_.size());
             double used = 0.0;
-            service_lane(io.queue(wi), wi, worker_counters_[wi], nullptr,
-                         per_budget, used);
+            service_lane(io.queue(wi), wi, shard, nullptr, per_budget, used);
         });
         packet_seq_ += io.stats().dequeued - dequeued_before;
         // Merge in worker order: deterministic given deterministic per-queue
         // consumption.
-        for (const CounterShard& shard : worker_counters_) {
-            counters_.absorb(shard);
+        for (const LaneCounters& lane : worker_counters_) {
+            counters_.absorb(lane.shard);
         }
     }
 

@@ -55,7 +55,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -334,8 +333,13 @@ private:
         std::uint64_t value = 0;
         int arg_index = -1;
     };
+    /// An action as a step runs it: its primitives without the NoOps, the
+    /// charge `n × l_act × scale` (n counts the IR primitives, NoOps
+    /// included; scale is the owning node's), and the successor it selects.
     struct CompiledAction {
         std::vector<CompiledPrimitive> primitives;
+        double cost = 0.0;
+        ir::NodeId next = ir::kNoNode;
         bool drops = false;
     };
     /// A flow cache whose origin set includes a table, and where the
@@ -345,10 +349,40 @@ private:
         ir::NodeId cache = ir::kNoNode;
         std::uint32_t part = 0;
     };
+    /// One step of the epoch's compiled program, indexed by node id.
+    /// compile() resolves everything the IR fixes for the epoch, so
+    /// run_packet never reads ir::Program or ir::Node: the node's kind and
+    /// core, its charges, its successors, its table state and a branch's
+    /// comparison. Each charge is the expression the walk used to evaluate
+    /// per packet, over the same operands in the same order, so the cycles
+    /// keep their bits. A table's probe stays `(m × l_mat) × scale` at run
+    /// time because m moves with the entries of LPM and ternary tables.
     struct CompiledNode {
+        enum class Kind : std::uint8_t { Branch, Table, Cache };
+        Kind kind = Kind::Table;
+        ir::CoreKind core = ir::CoreKind::Asic;
+        /// MergedCache-role table: its hits and misses also count as cache
+        /// hits and misses.
+        bool merged_cache = false;
+        double counter = 0.0;  ///< l_counter × scale, charged when sampled
+        double branch = 0.0;   ///< l_branch × scale
+        double l_mat = 0.0;    ///< resolved for the node's memory tier
+        double scale = 1.0;    ///< cpu_slowdown on a CPU core, else 1
+        double probe = 0.0;    ///< l_mat × scale: the cache's tier-0 probe
+        /// Branch: taken. Cache: hit.
+        ir::NodeId next = ir::kNoNode;
+        /// Branch: not taken. Table: miss (the default action's successor,
+        /// or the miss edge without a default). Cache: miss.
+        ir::NodeId miss_next = ir::kNoNode;
+        /// Table: the default action a miss runs; null without a default.
+        const CompiledAction* miss_action = nullptr;
+        TableState* state = nullptr;  ///< non-cache tables
+        /// Branch: taken when `field(branch_field) <branch_op> branch_value`.
+        FieldId branch_field = kNoField;
+        ir::CmpOp branch_op = ir::CmpOp::Eq;
+        std::uint64_t branch_value = 0;
         std::vector<FieldId> key_fields;
         std::vector<CompiledAction> actions;
-        FieldId branch_field = kNoField;
         std::vector<Cover> covered_by;
         /// Cache nodes: the first slot of the cache's replay block.
         std::uint32_t first_slot = 0;
@@ -356,12 +390,15 @@ private:
     /// One replay slot of the epoch: an (origin table, action) outcome the
     /// cache can record, action -1 being the origin's miss. `apply` is what
     /// a hit replays for it: the action, the origin's default for a miss,
-    /// or nothing (null) for a miss of a table without a default.
+    /// or nothing (null) for a miss of a table without a default. A replay
+    /// is charged at the cache's scale, so `cost` is the action's
+    /// `n × l_act × scale` with the cache's scale.
     struct ReplaySlot {
         ir::NodeId cache = ir::kNoNode;
         ir::NodeId origin = ir::kNoNode;
         int action = -1;
         const CompiledAction* apply = nullptr;
+        double cost = 0.0;
     };
 
     /// One worker's set of per-node cache stores (index = node id). Each
@@ -383,7 +420,9 @@ private:
     /// pending-fill list run_packet used to construct per packet. Owned and
     /// first-touched by the worker, so the hot path performs no heap
     /// allocation on cache hits (misses still allocate for the fill copy).
-    struct WorkerScratch {
+    /// A cache line of its own: every node visit writes `key`, and lanes
+    /// run in parallel.
+    struct alignas(64) WorkerScratch {
         KeyVec key;
         std::vector<FillCtx> fills;
     };
@@ -420,7 +459,10 @@ private:
     void init_worker_state(int w);
     WorkerPoolOptions pool_options() const;
 
-    bool sampled_for(std::uint64_t seq) const;
+    /// True when packet `seq` is sampled: every sample_period_-th packet.
+    bool sampled_for(std::uint64_t seq) const {
+        return sample_period_ != 0 && seq % sample_period_ == 0;
+    }
     /// The scalar per-packet loop, parameterized over the counter shard,
     /// cache shard, and scratch it uses. Thread-safe for distinct shards.
     ProcessResult run_packet(Packet& packet, bool sampled, CounterShard& counters,
@@ -436,11 +478,6 @@ private:
     /// `budget` (> 0); the packet that reaches it still runs.
     void service_lane(QueuePair& qp, std::size_t w, CounterShard& counters,
                       std::uint64_t* seq, double budget, double& used);
-    /// Applies an action; returns true when the packet was dropped.
-    bool apply_action(const CompiledAction& action, Packet& packet,
-                      std::span<const std::uint64_t> args, double scale,
-                      double& cycles) const;
-
     void begin_window_unlocked();
     /// Deploys `new_program` and installs `loads`. Same-named tables the
     /// loads do not cover keep their compatible entries, in insertion order.
@@ -485,8 +522,13 @@ private:
     NicModel model_;
     ir::Program program_;
     profile::InstrumentationConfig instrumentation_;
+    /// Sampling period of instrumentation_: 0 samples nothing, 1 every
+    /// packet, n every n-th. Set wherever instrumentation_ is.
+    std::uint64_t sample_period_ = 0;
     FieldTable fields_;
 
+    /// The epoch's step program (index = node id); the walk enters it at
+    /// program_.root().
     std::vector<CompiledNode> compiled_;
     /// The epoch's replay slots: each cache's block, in node order, laid out
     /// by origin_tables rank with the miss slot first in each origin's part.
@@ -502,7 +544,14 @@ private:
     /// Merged window counters (sampled when instrumentation.sampling_rate
     /// < 1). Workers accumulate into worker_counters_ and merge here.
     CounterShard counters_;
-    std::vector<CounterShard> worker_counters_;
+    /// A worker's shard on cache lines of its own: the shards sit side by
+    /// side in worker_counters_ and parallel lanes write them per node.
+    /// (Aligning CounterShard itself would over-align the Emulator, which
+    /// holds counters_.)
+    struct alignas(64) LaneCounters {
+        CounterShard shard;
+    };
+    std::vector<LaneCounters> worker_counters_;
 
     /// Lifetime telemetry (ISSUE 4): lanes take per-worker hot-path bumps,
     /// folded into the master under control_mu_ at batch end. Mutable so

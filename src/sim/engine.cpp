@@ -99,33 +99,10 @@ int MatchEngine::add_group() {
     return static_cast<int>(at - groups_.begin());
 }
 
-template <class ValueAt>
-std::uint32_t MatchEngine::masked_hash(const Group& g, ValueAt value_at) const {
-    return static_cast<std::uint32_t>(flow_hash(
-        g.masks.size(), [&](std::size_t c) { return value_at(c) & g.masks[c]; }));
-}
-
-template <class ValueAt>
-std::size_t MatchEngine::probe(const Group& g, std::uint32_t h,
-                               ValueAt value_at) const {
-    const std::size_t mask = g.cells.size() - 1;
-    for (std::size_t p = h & mask;; p = (p + 1) & mask) {
-        const Cell& cell = g.cells[p];
-        if (cell.head == kNil) return p;
-        if (cell.hash != h) continue;
-        const std::vector<FieldMatch>& k = list_->entries[cell.head].key;
-        bool same = true;
-        for (std::size_t c = 0; c < g.masks.size() && same; ++c) {
-            same = ((k[c].value ^ value_at(c)) & g.masks[c]) == 0;
-        }
-        if (same) return p;
-    }
-}
-
 std::size_t MatchEngine::cell_of(const Group& g, std::size_t i) const {
     const std::vector<FieldMatch>& key = list_->entries[i].key;
     auto value_at = [&key](std::size_t c) { return key[c].value; };
-    return probe(g, masked_hash(g, value_at), value_at);
+    return probe<true>(g, hash_key<true>(g, value_at), value_at);
 }
 
 bool MatchEngine::before(std::size_t a, std::size_t b) const {
@@ -192,8 +169,8 @@ void MatchEngine::link(std::size_t i) {
     ++grp.size;
     const std::vector<FieldMatch>& key = list_->entries[i].key;
     auto value_at = [&key](std::size_t c) { return key[c].value; };
-    const std::uint32_t h = masked_hash(grp, value_at);
-    Cell& cell = grp.cells[probe(grp, h, value_at)];
+    const std::uint32_t h = hash_key<true>(grp, value_at);
+    Cell& cell = grp.cells[probe<true>(grp, h, value_at)];
     const auto pos = static_cast<std::uint32_t>(i);
     if (cell.head == kNil) {
         cell = Cell{h, pos};
@@ -279,21 +256,21 @@ std::optional<std::size_t> MatchEngine::find(
         const Group& grp = groups_[static_cast<std::size_t>(g)];
         auto value_at = [&key](std::size_t c) { return key[c].value; };
         const std::uint32_t head =
-            grp.cells[probe(grp, masked_hash(grp, value_at), value_at)].head;
+            grp.cells[probe<true>(grp, hash_key<true>(grp, value_at), value_at)].head;
         for (std::uint32_t j = head; j != kNil; j = next_[j]) consider(j);
     }
     return oldest;
 }
 
-std::optional<MatchOutcome> MatchEngine::lookup(const KeyVec& key) const {
+std::optional<MatchOutcome> MatchEngine::lookup_masked(const KeyVec& key) const {
     if (key.size() != widths_.size()) return std::nullopt;
     auto value_at = [&key](std::size_t c) { return key[c]; };
     auto head_in = [&](const Group& g) {
-        return g.cells[probe(g, masked_hash(g, value_at), value_at)].head;
+        return g.cells[probe<true>(g, hash_key<true>(g, value_at), value_at)].head;
     };
-    if (kind_ != MatchKind::Ternary) {
-        // Exact tables have one group; LPM groups are in probe order, so the
-        // first hit is the longest match (and its chain head the oldest).
+    if (kind_ == MatchKind::Lpm) {
+        // LPM groups are in probe order, so the first hit is the longest
+        // match (and its chain head the oldest).
         for (const Group& g : groups_) {
             const std::uint32_t head = head_in(g);
             if (head != kNil) return MatchOutcome{head};
@@ -316,11 +293,6 @@ std::optional<MatchOutcome> MatchEngine::lookup(const KeyVec& key) const {
     }
     if (best == kNil) return std::nullopt;
     return MatchOutcome{best};
-}
-
-int MatchEngine::m() const {
-    if (kind_ == MatchKind::Exact) return 1;
-    return std::max(1, static_cast<int>(groups_.size() + (linear_.empty() ? 0 : 1)));
 }
 
 }  // namespace pipeleon::sim

@@ -23,8 +23,17 @@
 // oldest; erasing the winner exposes the next in line. Entries that share a
 // masked key chain behind one index cell, so duplicates are the one slow
 // path: an op on a chain of d entries costs O(d).
+//
+// lookup() and m() are inline: they run once per table per packet. Every
+// probe, lookup or mutation, runs the one hash_key()/probe() template. An
+// exact table has at most one group, and its masks are all ones, so its
+// lookup instantiates them unmasked: it hashes and compares the raw key
+// words without loading a mask, and gets the same hash and probe order as
+// the masked instance its mutations use. LPM and ternary lookups take the
+// masked path out of line.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -91,10 +100,23 @@ public:
     std::optional<std::size_t> find(const std::vector<ir::FieldMatch>& key) const;
 
     /// Looks the key up; nullopt on miss.
-    std::optional<MatchOutcome> lookup(const KeyVec& key) const;
+    std::optional<MatchOutcome> lookup(const KeyVec& key) const {
+        if (kind_ != ir::MatchKind::Exact) return lookup_masked(key);
+        if (groups_.empty() || key.size() != widths_.size()) return std::nullopt;
+        const Group& g = groups_.front();
+        auto value_at = [&key](std::size_t c) { return key[c]; };
+        const std::uint32_t head =
+            g.cells[probe<false>(g, hash_key<false>(g, value_at), value_at)].head;
+        if (head == kNil) return std::nullopt;
+        return MatchOutcome{head};
+    }
 
     /// Memory accesses (hash-table probes) one lookup costs.
-    int m() const;
+    int m() const {
+        if (kind_ == ir::MatchKind::Exact) return 1;
+        return std::max(
+            1, static_cast<int>(groups_.size() + (linear_.empty() ? 0 : 1)));
+    }
 
 private:
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
@@ -120,20 +142,49 @@ private:
         std::size_t size = 0;     ///< entries
     };
 
+    /// lookup() of an LPM or ternary table: every probe masks the key.
+    std::optional<MatchOutcome> lookup_masked(const KeyVec& key) const;
     /// Group of a key's shape: its index, or kAbsent / kLinear / kUnindexed.
     /// Leaves the shape in shape_masks_ / shape_lens_.
     int group_of(const std::vector<ir::FieldMatch>& key) const;
     /// Adds the group of the shape group_of() just computed (LPM groups
     /// stay in probe order); returns its index.
     int add_group();
-    /// Low 32 bits of the flow hash of value_at(c) & masks[c] over the key
+    /// `v & g.masks[c]`; with Masked false, `v` (for a group whose masks
+    /// are all ones).
+    template <bool Masked>
+    static std::uint64_t masked(const Group& g, std::size_t c, std::uint64_t v) {
+        if constexpr (Masked) {
+            return v & g.masks[c];
+        } else {
+            return v;
+        }
+    }
+    /// Low 32 bits of the flow hash of the masked value_at(.) over the key
     /// components — KeyVecHash of the masked key.
-    template <class ValueAt>
-    std::uint32_t masked_hash(const Group& g, ValueAt value_at) const;
+    template <bool Masked, class ValueAt>
+    std::uint32_t hash_key(const Group& g, ValueAt value_at) const {
+        return static_cast<std::uint32_t>(flow_hash(g.masks.size(), [&](std::size_t c) {
+            return masked<Masked>(g, c, value_at(c));
+        }));
+    }
     /// Cell holding the masked key value_at(.) (or the empty cell where it
-    /// would go).
-    template <class ValueAt>
-    std::size_t probe(const Group& g, std::uint32_t h, ValueAt value_at) const;
+    /// would go); `h` is its hash_key.
+    template <bool Masked, class ValueAt>
+    std::size_t probe(const Group& g, std::uint32_t h, ValueAt value_at) const {
+        const std::size_t mask = g.cells.size() - 1;
+        for (std::size_t p = h & mask;; p = (p + 1) & mask) {
+            const Cell& cell = g.cells[p];
+            if (cell.head == kNil) return p;
+            if (cell.hash != h) continue;
+            const std::vector<ir::FieldMatch>& k = list_->entries[cell.head].key;
+            bool same = true;
+            for (std::size_t c = 0; c < g.masks.size() && same; ++c) {
+                same = masked<Masked>(g, c, k[c].value ^ value_at(c)) == 0;
+            }
+            if (same) return p;
+        }
+    }
     /// Cell holding entries[i]'s masked key in group g.
     std::size_t cell_of(const Group& g, std::size_t i) const;
     /// Chain order: true when entries[a] goes before entries[b] (ternary:

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <string>
 #include <vector>
@@ -537,6 +538,114 @@ TEST(Emulator, MigrationCostCharged) {
     EXPECT_EQ(r.migrations, 2);  // asic -> cpu -> asic
     // node0: 12, node1: 12*3 (cpu), node2: 12, + 2 migrations.
     EXPECT_DOUBLE_EQ(r.cycles, 12.0 + 36.0 + 12.0 + 200.0);
+}
+
+/// Emulated cycles are a sum of doubles, so their bits depend on each
+/// charge's expression and on the order of the charges. Integer costs hide
+/// both (every order gives the same bits); these non-dyadic ones do not.
+/// The expected sums are written out in the order the walk charges, each
+/// charge as the cost model states it: a probe is (m × l_mat) × scale, an
+/// action (n × l_act) × scale with n counting NoOps, and a replay is
+/// charged at the cache's scale.
+TEST(Emulator, CyclesKeepTheirFloatBits) {
+    NicModel model = test_model();
+    model.costs.l_mat = 0.7;
+    model.costs.l_act = 0.3;
+    model.costs.l_branch = 0.1;
+    model.costs.l_counter = 0.05;
+    model.costs.cpu_slowdown = 1.7;
+    model.costs.l_migration = 2.9;
+    model.costs.l_mat_fast = 0.45;
+    model.costs.l_tier_host = 1.1;
+    const double cpu = 1.7;
+    auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+
+    // CPU ternary table (m = 3) -> CPU branch -> Fast exact -> Host exact.
+    ProgramBuilder b("tiers");
+    Action set_a;
+    set_a.name = "set_a";
+    set_a.primitives = {Primitive::noop(), Primitive::set_const("a", 1)};
+    const NodeId tern =
+        b.add(TableSpec("tern").key("f", MatchKind::Ternary).action(set_a).build());
+    const NodeId br = b.add_branch({"proto", ir::CmpOp::Eq, 6});
+    Table fast = TableSpec("fast").key("g").set_field_action("set_b", "b").build();
+    fast.tier = ir::MemTier::Fast;
+    fast.default_action = 0;
+    Table host = TableSpec("host").key("h").noop_action("pad", 2).build();
+    host.tier = ir::MemTier::Host;
+    host.default_action = 0;
+    const NodeId nf = b.add(fast);
+    const NodeId nh = b.add(host);
+    b.connect(tern, br).connect_branch(br, nf, kNoNode).connect(nf, nh);
+    b.set_root(tern);
+    Program tiers = b.build();
+    tiers.node(tern).core = ir::CoreKind::Cpu;
+    tiers.node(br).core = ir::CoreKind::Cpu;
+    Emulator emu(model, tiers, {});
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        TableEntry e;
+        e.key = {FieldMatch::ternary(0, 0xFULL << (8 * i))};
+        e.action_index = 0;
+        ASSERT_TRUE(emu.insert_entry("tern", e));
+    }
+    Packet pkt;
+    pkt.set(emu.fields().intern("proto"), 6);
+    const ProcessResult r = emu.process(pkt);
+    ASSERT_EQ(r.nodes_visited, 4);
+    double want = 0.0;
+    want += 0.05 * cpu;              // tern: counter
+    want += 3.0 * 0.7 * cpu;         //       probe, m = 3
+    want += 2.0 * 0.3 * cpu;         //       NoOp + SetConst
+    want += 0.05 * cpu;              // branch: counter
+    want += 0.1 * cpu;               //         condition
+    want += 2.9;                     // CPU -> ASIC
+    want += 0.05 * 1.0;              // fast: counter
+    want += 1.0 * 0.45 * 1.0;        //       probe at l_mat_fast
+    want += 1.0 * 0.3 * 1.0;         //       SetConst
+    want += 0.05 * 1.0;              // host: counter
+    want += 1.0 * (0.7 + 1.1) * 1.0; //       probe across PCIe
+    want += 2.0 * 0.3 * 1.0;         //       two NoOps
+    EXPECT_EQ(bits(r.cycles), bits(want)) << r.cycles << " vs " << want;
+
+    // A CPU cache over two ASIC tables: the second packet replays.
+    Program cached = cached_two_tables();
+    const NodeId cache = cached.find_table("cache_A_B");
+    cached.node(cache).core = ir::CoreKind::Cpu;
+    cached.node(cached.find_table("B")).table.actions[0].primitives.push_back(
+        Primitive::noop());
+    Emulator cemu(model, cached, {});
+    ASSERT_TRUE(cemu.insert_entry("A", exact_entry(1, 0, {11})));
+    ASSERT_TRUE(cemu.insert_entry("B", exact_entry(2, 0, {22})));
+    auto flow = [&cemu] {
+        Packet p;
+        p.set(cemu.fields().intern("src"), 1);
+        p.set(cemu.fields().intern("dst"), 2);
+        return p;
+    };
+    Packet first = flow();
+    const ProcessResult miss = cemu.process(first);
+    double want_miss = 0.0;
+    want_miss += 0.05 * cpu;        // cache: counter
+    want_miss += 0.7 * cpu;         //        tier-0 probe
+    want_miss += 2.9;               // CPU -> ASIC
+    want_miss += 0.05 * 1.0;        // A: counter
+    want_miss += 1.0 * 0.7 * 1.0;   //    probe
+    want_miss += 1.0 * 0.3 * 1.0;   //    set_x
+    want_miss += 0.05 * 1.0;        // B: counter
+    want_miss += 1.0 * 0.7 * 1.0;   //    probe
+    want_miss += 2.0 * 0.3 * 1.0;   //    set_y + NoOp
+    EXPECT_EQ(bits(miss.cycles), bits(want_miss)) << miss.cycles << " vs " << want_miss;
+
+    Packet second = flow();
+    const ProcessResult hit = cemu.process(second);
+    ASSERT_EQ(hit.nodes_visited, 1);
+    EXPECT_EQ(second.get(cemu.fields().find("y")), 22u);
+    double want_hit = 0.0;
+    want_hit += 0.05 * cpu;         // cache: counter
+    want_hit += 0.7 * cpu;          //        tier-0 probe
+    want_hit += 1.0 * 0.3 * cpu;    // replay of A's set_x, at the cache's scale
+    want_hit += 2.0 * 0.3 * cpu;    // replay of B's set_y + NoOp
+    EXPECT_EQ(bits(hit.cycles), bits(want_hit)) << hit.cycles << " vs " << want_hit;
 }
 
 TEST(Emulator, EntryUpdatesTracked) {
