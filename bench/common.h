@@ -88,8 +88,8 @@ private:
 /// Pumps the window through the descriptor-ring data plane: packets are
 /// generated and dispatched `batch_size` at a time, each burst is polled to
 /// completion, and the clock advances per burst. With the emulator's
-/// default single worker (or deterministic mode) the packet-level execution
-/// is identical to a process() loop.
+/// default single worker the packet-level execution is identical to a
+/// process() loop.
 inline WindowResult run_window(sim::Emulator& emulator,
                                trafficgen::Workload& workload, int packets,
                                double window_seconds,

@@ -30,10 +30,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+#if PIPELEON_TELEMETRY
 double ns_per_op(Clock::time_point t0, Clock::time_point t1, int ops) {
     return std::chrono::duration<double, std::nano>(t1 - t0).count() /
            static_cast<double>(ops);
 }
+#endif
 
 // Keeps loop bodies alive without google-benchmark's DoNotOptimize.
 volatile std::uint64_t g_sink = 0;
@@ -43,12 +45,11 @@ volatile std::uint64_t g_sink = 0;
 int main() {
     bench::section("micro_telemetry: hot-path cost of the telemetry "
                    "subsystem");
-    const int kOps = bench::BenchEnv::quick() ? 200000 : 2000000;
-
     double hist_ns = 0.0, shard_ns = 0.0, merge_ns = 0.0;
     double span_off_ns = 0.0, span_on_ns = 0.0;
 
 #if PIPELEON_TELEMETRY
+    const int kOps = bench::BenchEnv::quick() ? 200000 : 2000000;
     {
         telemetry::LatencyHistogram h;
         Clock::time_point t0 = Clock::now();

@@ -36,9 +36,8 @@ profile::RuntimeProfile Controller::collect_profile() {
 
 void Controller::ensure_rings(std::size_t capacity) {
     const int workers = emulator_.worker_count();
-    const bool det = emulator_.deterministic();
     if (rings_.has_value() && rings_capacity_ == capacity &&
-        rings_workers_ == workers && rings_deterministic_ == det) {
+        rings_workers_ == workers) {
         return;
     }
     sim::RingConfig cfg;
@@ -46,7 +45,6 @@ void Controller::ensure_rings(std::size_t capacity) {
     rings_.emplace(emulator_.make_rings(cfg));
     rings_capacity_ = capacity;
     rings_workers_ = workers;
-    rings_deterministic_ = det;
 }
 
 Controller::PumpStats Controller::pump_window_impl(trafficgen::Workload& workload,
@@ -81,9 +79,9 @@ Controller::PumpStats Controller::pump_window_impl(trafficgen::Workload& workloa
     double total_cycles = 0.0;
     std::uint64_t completed = 0;
     while (remaining > 0) {
-        // Worker count / determinism may change mid-window via drained
-        // control ops; the rings are empty between polls, so rebuilding
-        // here never strands descriptors.
+        // The worker count may change mid-window via drained control ops;
+        // the rings are empty between polls, so rebuilding here never
+        // strands descriptors.
         ensure_rings(capacity);
         std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(remaining, batch_size));

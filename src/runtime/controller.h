@@ -187,9 +187,9 @@ private:
                                double window_seconds, std::size_t batch_size,
                                bool adaptive);
 
-    /// (Re)builds the pump's dispatcher when the ring capacity, worker
-    /// count, or deterministic flag it was built for changed. The pump
-    /// drains its rings every poll, so a rebuild never strands descriptors.
+    /// (Re)builds the pump's dispatcher when the ring capacity or worker
+    /// count it was built for changed. The pump drains its rings every
+    /// poll, so a rebuild never strands descriptors.
     void ensure_rings(std::size_t capacity);
 
     /// Reads the emulator window, augments entry snapshots from the API
@@ -209,7 +209,6 @@ private:
     std::optional<sim::RssDispatcher> rings_;
     std::size_t rings_capacity_ = 0;
     int rings_workers_ = 0;
-    bool rings_deterministic_ = false;
     /// Reused poll output (results vector keeps its capacity).
     sim::BatchResult pump_out_;
     /// ctl.* counters registered in the emulator's metrics registry.

@@ -64,7 +64,6 @@ struct ControlOp {
         DeleteEntry,
         ModifyEntry,
         SetEntries,
-        InvalidateCaches,
         BeginWindow,
         SetInstrumentation,
         SetWorkerCount,
@@ -73,7 +72,7 @@ struct ControlOp {
     };
 
     Kind kind = Kind::BeginWindow;
-    std::string table;                    ///< entry ops, cache invalidation
+    std::string table;                    ///< entry ops
     ir::TableEntry entry;                 ///< InsertEntry / ModifyEntry
     std::vector<ir::FieldMatch> key;      ///< DeleteEntry
     std::vector<ir::TableEntry> entries;  ///< SetEntries

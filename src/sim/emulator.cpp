@@ -508,8 +508,7 @@ const std::vector<ir::TableEntry>* Emulator::entries(
     return &tables_[static_cast<std::size_t>(id)]->entries();
 }
 
-int Emulator::invalidate_caches_unlocked(const std::string& origin_table) {
-    int cleared = 0;
+void Emulator::invalidate_caches_unlocked(const std::string& origin_table) {
     for (const Node& node : program_.nodes()) {
         if (!node.is_table() || node.table.role != TableRole::Cache) continue;
         const auto& origins = node.table.origin_tables;
@@ -518,10 +517,8 @@ int Emulator::invalidate_caches_unlocked(const std::string& origin_table) {
             for (CacheSet& shard : cache_shards_) {
                 shard[static_cast<std::size_t>(node.id)]->clear();
             }
-            ++cleared;
         }
     }
-    return cleared;
 }
 
 void Emulator::mirror_unlocked(StoreChange& change) {
@@ -548,19 +545,9 @@ void Emulator::mirror(StoreChange change) {
     submit(std::move(op));
 }
 
-int Emulator::invalidate_caches_covering(const std::string& origin_table) {
-    ControlOp op;
-    op.kind = ControlOp::Kind::InvalidateCaches;
-    op.table = origin_table;
-    int cleared = 0;
-    submit(std::move(op), &cleared);
-    return cleared;
-}
-
 // --------------------------------------------------------------- op plumbing
 
-bool Emulator::submit(ControlOp op, int* count_result,
-                      ReconfigureStats* swap_result) {
+bool Emulator::submit(ControlOp op, ReconfigureStats* swap_result) {
     const std::uint64_t seq = queue_.push(std::move(op));
     std::unique_lock<std::mutex> lock(control_mu_, std::try_to_lock);
     if (!lock.owns_lock()) {
@@ -568,17 +555,16 @@ bool Emulator::submit(ControlOp op, int* count_result,
         // op stays queued for the next drain point; report the optimistic
         // default without waiting.
         ops_deferred_.fetch_add(1, std::memory_order_relaxed);
-        if (count_result != nullptr) *count_result = -1;
         return true;
     }
     bool ok = true;
-    drain_queue_unlocked(&seq, &ok, count_result, swap_result);
+    drain_queue_unlocked(&seq, &ok, swap_result);
     ops_sync_.fetch_add(1, std::memory_order_relaxed);
     return ok;
 }
 
 std::size_t Emulator::drain_queue_unlocked(const std::uint64_t* own_seq,
-                                           bool* own_ok, int* own_count,
+                                           bool* own_ok,
                                            ReconfigureStats* own_swap) {
 #if PIPELEON_TELEMETRY
     // Span only non-empty drains: batch boundaries drain unconditionally,
@@ -588,16 +574,14 @@ std::size_t Emulator::drain_queue_unlocked(const std::uint64_t* own_seq,
 #endif
     std::vector<ControlOp> ops = queue_.drain();
     for (ControlOp& op : ops) {
-        int count = 0;
         ReconfigureStats swap_stats;
-        bool ok = apply_op_unlocked(op, &count, &swap_stats);
+        bool ok = apply_op_unlocked(op, &swap_stats);
         if (!ok) {
             ops_failed_.fetch_add(1, std::memory_order_relaxed);
             metrics_.add(mid_.control_op_failures, 1);
         }
         if (own_seq != nullptr && op.seq == *own_seq) {
             if (own_ok != nullptr) *own_ok = ok;
-            if (own_count != nullptr) *own_count = count;
             if (own_swap != nullptr) *own_swap = swap_stats;
         }
     }
@@ -605,8 +589,7 @@ std::size_t Emulator::drain_queue_unlocked(const std::uint64_t* own_seq,
     return ops.size();
 }
 
-bool Emulator::apply_op_unlocked(ControlOp& op, int* count_out,
-                                 ReconfigureStats* swap_out) {
+bool Emulator::apply_op_unlocked(ControlOp& op, ReconfigureStats* swap_out) {
     switch (op.kind) {
         case ControlOp::Kind::InsertEntry:
             return insert_entry_unlocked(op.table, op.entry);
@@ -616,11 +599,6 @@ bool Emulator::apply_op_unlocked(ControlOp& op, int* count_out,
             return modify_entry_unlocked(op.table, op.entry);
         case ControlOp::Kind::SetEntries:
             return set_entries_unlocked(op.table, std::move(op.entries));
-        case ControlOp::Kind::InvalidateCaches: {
-            int cleared = invalidate_caches_unlocked(op.table);
-            if (count_out != nullptr) *count_out = cleared;
-            return true;
-        }
         case ControlOp::Kind::BeginWindow:
             begin_window_unlocked();
             return true;
@@ -944,12 +922,8 @@ void Emulator::service_lane(QueuePair& qp, std::size_t w,
 
 RssDispatcher Emulator::make_rings(const RingConfig& cfg) const {
     std::lock_guard<std::mutex> lock(control_mu_);
-    // One queue per worker so each RX ring stays SPSC against its consumer;
-    // deterministic/single-worker mode collapses to one in-order queue, the
-    // configuration whose poll is bit-identical to a process() loop.
-    const std::size_t queues =
-        (deterministic_ || workers_ <= 1) ? 1
-                                          : static_cast<std::size_t>(workers_);
+    // One queue per worker so each RX ring stays SPSC against its consumer.
+    const auto queues = static_cast<std::size_t>(workers_);
     RssDispatcher io(queues, steer_fields_, cfg);
     io.set_steer_fields(steer_fields_,
                         epoch_.load(std::memory_order_acquire));
@@ -991,14 +965,12 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
     }
 
     const std::size_t nq = io.queue_count();
-    if (deterministic_ || workers_ <= 1 ||
-        nq != static_cast<std::size_t>(workers_)) {
+    if (workers_ <= 1) {
         // In order on the calling thread, queue-major, into the window
         // counters with the emulator's own arrival numbering and one budget
         // (one serving core). With the single queue make_rings builds for
-        // deterministic or single-worker mode this is exactly a process()
-        // loop: same seq numbering, same shard-0 state, same float
-        // accumulation order.
+        // one worker this is exactly a process() loop: same seq numbering,
+        // same shard-0 state, same float accumulation order.
         double used = 0.0;
         for (std::size_t q = 0; q < nq; ++q) {
             service_lane(io.queue(q), 0, counters_, &packet_seq_,
@@ -1006,18 +978,25 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
         }
     } else {
         out.workers_used = workers_;
+        const auto lanes = static_cast<std::size_t>(workers_);
         const double per_budget = cycle_budget / static_cast<double>(workers_);
         const std::uint64_t dequeued_before = io.stats().dequeued;
         // The job reaches the pool as a function pointer + reference to this
         // lambda (WorkerPool::run is a template), so dispatch allocates
         // nothing. Each descriptor keeps its arrival seq, so its sampling
-        // decision matches what a process() loop would have made.
+        // decision matches what a process() loop would have made. Lane w
+        // serves queues w, w+W, ... (W = workers_): one consumer per queue
+        // even when the dispatcher was built for another worker count (a
+        // lane past the last queue idles), and a flow's queue fixes its
+        // cache shard.
         pool_->run([&](int w) {
             auto wi = static_cast<std::size_t>(w);
             CounterShard& shard = worker_counters_[wi].shard;
             shard.reset_for(program_, replay_slots_.size());
             double used = 0.0;
-            service_lane(io.queue(wi), wi, shard, nullptr, per_budget, used);
+            for (std::size_t q = wi; q < nq; q += lanes) {
+                service_lane(io.queue(q), wi, shard, nullptr, per_budget, used);
+            }
         });
         packet_seq_ += io.stats().dequeued - dequeued_before;
         // Merge in worker order: deterministic given deterministic per-queue
@@ -1083,6 +1062,21 @@ void Emulator::begin_window() {
     ControlOp op;
     op.kind = ControlOp::Kind::BeginWindow;
     submit(std::move(op));
+}
+
+double Emulator::now_seconds() const {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    return clock_seconds_;
+}
+
+void Emulator::set_time(double seconds) {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    clock_seconds_ = seconds;
+}
+
+void Emulator::advance_time(double dt) {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    clock_seconds_ += dt;
 }
 
 util::RunningStats Emulator::latency_stats() const {
@@ -1246,7 +1240,7 @@ Emulator::ReconfigureStats Emulator::apply_epoch(EpochSwap swap) {
     op.kind = ControlOp::Kind::Swap;
     op.swap = std::make_shared<EpochSwap>(std::move(swap));
     ReconfigureStats stats;
-    submit(std::move(op), nullptr, &stats);
+    submit(std::move(op), &stats);
     return stats;
 }
 

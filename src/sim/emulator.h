@@ -17,20 +17,25 @@
 //            worker owns a cache shard and a private CounterShard (no
 //            hot-path atomics), merged in worker order at the poll's end.
 //   ORACLE:  process(Packet&) runs one packet on the calling thread and is
-//            the reference every ring mode is tested against. A one-queue
-//            poll (one worker or deterministic mode) is bit-identical to a
-//            process() loop; parallel polls match its integer counters.
+//            the reference every ring mode is tested against. A one-worker
+//            poll is bit-identical to a process() loop; parallel polls
+//            match its integer counters.
 //   NOWANT:  we do not want the following:
 //            - caller-built batches handed straight to the engine
 //            - a switch that turns the group-of-8 probe pipeline off
 //            - per-call steering plans (the dispatcher steers on arrival)
 //            - a second flow hash or a per-CPU kernel choice
+//            - a deterministic flag (one worker is the in-order mode)
+//            - a poll mode chosen by the dispatcher's shape (the worker
+//              count alone picks it)
+//            - a public cache-invalidation op (mirror() invalidates, as an
+//              entry update does in §3.2.2)
 //
-// Control plane (ISSUE 3): every mutation (entry ops, cache invalidation,
-// window resets, worker/instrumentation changes, program swaps) travels a
-// typed MPSC ControlOp queue. A caller enqueues and returns immediately —
-// it NEVER blocks on a batch in flight. Pending ops are drained, in enqueue
-// order, at well-defined drain points:
+// Control plane: every mutation (entry ops and their mirrored store
+// changes, window resets, worker/instrumentation changes, program swaps)
+// travels a typed MPSC ControlOp queue. A caller enqueues and returns
+// immediately — it NEVER blocks on a batch in flight. Pending ops are
+// drained, in enqueue order, at well-defined drain points:
 //
 //   - batch boundaries: poll() (and process()) drains the backlog before
 //     any packet runs, so a batch observes either none or all of an op's
@@ -127,13 +132,6 @@ public:
     /// worker shards).
     std::size_t cache_size(const std::string& table) const;
 
-    /// Invalidates (clears) every flow cache whose origin set contains the
-    /// given table — "an update in any of the original tables will
-    /// invalidate the entire cache" (§3.2.2) — across all worker shards.
-    /// Returns the number of caches cleared (counting each node once), or
-    /// -1 when the op was queued behind an in-flight batch.
-    int invalidate_caches_covering(const std::string& origin_table);
-
     /// Applies every pending control op now (waits for an in-flight batch
     /// first). Returns the number of ops applied. Reads already observe all
     /// ops up to the last drain point; call this to force the epoch forward
@@ -182,18 +180,19 @@ public:
     // ring, which the driver thread reaps. Batch size is ring occupancy,
     // not a caller-chosen count.
 
-    /// Builds a dispatcher wired to this emulator: one queue per worker
-    /// (exactly one in deterministic or single-worker mode — the in-order
-    /// configuration), steering by the same flow hash as steer_worker().
+    /// Builds a dispatcher wired to this emulator: one queue per worker,
+    /// steering by the same flow hash as steer_worker(). Rebuild it after a
+    /// worker-count change to spread traffic over the new workers.
     RssDispatcher make_rings(const RingConfig& cfg = {}) const;
 
     /// Services the rings once. A poll is a batch boundary: the control
     /// backlog drains before any descriptor is consumed (ring-drain
-    /// boundary), then each RX queue runs one lane — in parallel on the
-    /// worker pool (the calling thread runs a lane too, see
-    /// sim/worker_pool.h) when the dispatcher has one queue per worker,
-    /// else in order on the calling thread (deterministic mode, single
-    /// worker, or a stale queue count after a worker-count change).
+    /// boundary). With one worker, every queue then runs in order on the
+    /// calling thread, exactly like a process() loop. With W > 1 workers,
+    /// lane w serves queues w, w+W, w+2W, ... in parallel on the worker
+    /// pool (the calling thread runs a lane too, see sim/worker_pool.h);
+    /// a dispatcher built before a worker-count change keeps one consumer
+    /// per queue, and each flow keeps its queue and so its cache shard.
     /// `cycle_budget > 0` bounds the emulated cycles spent (split evenly
     /// across workers). A lane also stops while its queue's TX ring is
     /// full. Unconsumed descriptors stay queued for the next poll.
@@ -211,13 +210,6 @@ public:
     /// cache. Fenced like any control-plane call.
     void set_worker_count(int workers);
     int worker_count() const { return workers_; }
-
-    /// Deterministic mode makes make_rings() build one queue and poll()
-    /// serve it in order on the calling thread regardless of worker count —
-    /// merged counters and latency stats are then bit-identical to a
-    /// process() loop.
-    void set_deterministic(bool on) { deterministic_ = on; }
-    bool deterministic() const { return deterministic_; }
 
     /// The worker a packet's flow steers to (stable across batches: it
     /// depends only on the packet's key-field values and the worker count).
@@ -244,10 +236,14 @@ public:
     int pinned_workers() const;
 
     // -------------------------------------------------------- virtual time
+    //
+    // Under the control lock: a control caller that finds the data plane
+    // idle drains on its own thread, and the drain reads the clock (window
+    // start) and moves it (reflash downtime).
 
-    double now_seconds() const { return clock_seconds_; }
-    void set_time(double seconds) { clock_seconds_ = seconds; }
-    void advance_time(double dt) { clock_seconds_ += dt; }
+    double now_seconds() const;
+    void set_time(double seconds);
+    void advance_time(double dt);
 
     // ------------------------------------------------ measurement / window
 
@@ -495,29 +491,29 @@ private:
                                const ir::TableEntry& entry);
     bool set_entries_unlocked(const std::string& table,
                               std::vector<ir::TableEntry> entries);
-    int invalidate_caches_unlocked(const std::string& origin_table);
+    /// Clears every flow cache whose origin set contains the table, across
+    /// all worker shards: "an update in any of the original tables will
+    /// invalidate the entire cache" (§3.2.2).
+    void invalidate_caches_unlocked(const std::string& origin_table);
     void mirror_unlocked(StoreChange& change);
     void set_worker_count_unlocked(int workers);
 
     /// Enqueues the op, then opportunistically drains: when control_mu_ is
     /// free (no batch in flight) the caller applies the whole backlog —
     /// including its own op — and returns that op's real result; when a
-    /// batch holds the lock the op stays queued and the optimistic default
-    /// (true / -1) comes back. Never blocks on the data plane.
-    bool submit(ControlOp op, int* count_result = nullptr,
-                ReconfigureStats* swap_result = nullptr);
+    /// batch holds the lock the op stays queued and `true` comes back.
+    /// Never blocks on the data plane.
+    bool submit(ControlOp op, ReconfigureStats* swap_result = nullptr);
 
     /// Applies every queued op in enqueue order. Caller holds control_mu_.
     /// When own_seq is set, the matching op's result lands in *own_ok /
-    /// *own_count / *own_swap; every failed op counts in ops_failed_.
+    /// *own_swap; every failed op counts in ops_failed_.
     /// Returns the number of ops applied.
     std::size_t drain_queue_unlocked(const std::uint64_t* own_seq = nullptr,
                                      bool* own_ok = nullptr,
-                                     int* own_count = nullptr,
                                      ReconfigureStats* own_swap = nullptr);
     /// Applies one op. Returns false only for a failed entry op.
-    bool apply_op_unlocked(ControlOp& op, int* count_out,
-                           ReconfigureStats* swap_out);
+    bool apply_op_unlocked(ControlOp& op, ReconfigureStats* swap_out);
 
     NicModel model_;
     ir::Program program_;
@@ -609,7 +605,6 @@ private:
     TierStats tier_reported_;
 
     int workers_ = 1;
-    bool deterministic_ = false;
     bool pin_workers_ = true;
     util::Topology topology_ = util::Topology::detect();
     std::unique_ptr<WorkerPool> pool_;

@@ -4,9 +4,9 @@
 // Emulator::steer_worker names workers with, so same flow -> same queue ->
 // same worker shard, always) and enqueues an RX descriptor into that
 // queue's ring, dropping on overflow. The emulator builds one via
-// Emulator::make_rings() and services it via Emulator::poll(); a
-// single-queue dispatcher is the in-order configuration deterministic mode
-// requires.
+// Emulator::make_rings() and services it via Emulator::poll(); with one
+// worker it has one queue, the in-order configuration whose poll matches a
+// process() loop.
 #pragma once
 
 #include <cstddef>

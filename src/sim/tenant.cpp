@@ -128,7 +128,6 @@ TenantId TenantRegistry::add_tenant(const std::string& name, ir::Program program
 
     t->emu = std::make_unique<Emulator>(std::move(model), std::move(program),
                                         std::move(instrumentation));
-    t->emu->set_deterministic(deterministic_);
     t->emu->set_time(now_);
 
     const std::string p = "tenant." + name + ".";
@@ -192,24 +191,15 @@ double TenantRegistry::reconfigure(TenantId id, ir::Program program) {
     return tenant(id).emu->reconfigure(std::move(program));
 }
 
-void TenantRegistry::set_deterministic(bool on) {
-    deterministic_ = on;
-    for (auto& t : tenants_) t->emu->set_deterministic(on);
-}
-
 void TenantRegistry::ensure_rings(Tenant& t) {
     int workers = t.emu->worker_count();
-    bool det = t.emu->deterministic();
-    if (t.rings && t.rings_workers == workers && t.rings_deterministic == det) {
-        return;
-    }
+    if (t.rings && t.rings_workers == workers) return;
     // Never strand queued descriptors: a stale dispatcher keeps serving
-    // until its rings drain (Emulator::poll handles a stale queue count by
-    // falling back to in-order service).
+    // until its rings drain (Emulator::poll gives each of its queues one
+    // lane, whatever the worker count).
     if (t.rings && t.rings->stats().depth != 0) return;
     t.rings.emplace(t.emu->make_rings(ring_cfg_));
     t.rings_workers = workers;
-    t.rings_deterministic = det;
 }
 
 TenantRegistry::Admit TenantRegistry::offer(TenantId id, const Packet& packet) {

@@ -167,10 +167,6 @@ public:
     /// reconfigures that tenant's emulator (bumping its epoch only).
     double reconfigure(TenantId id, ir::Program program);
 
-    /// Deterministic mode for every tenant (single in-order queue per
-    /// tenant, scalar-path execution — the isolation tests' configuration).
-    void set_deterministic(bool on);
-
     // ------------------------------------------------------- admission path
 
     enum class Admit {
@@ -228,7 +224,6 @@ private:
         std::unique_ptr<Emulator> emu;
         std::optional<RssDispatcher> rings;
         int rings_workers = 0;
-        bool rings_deterministic = false;
         TenantStats stats;
         TenantStats reported;  ///< counter values already pushed to metrics
         BatchResult out;       ///< reused poll output
@@ -242,9 +237,9 @@ private:
 
     Tenant& tenant(TenantId id);
     const Tenant& tenant(TenantId id) const;
-    /// (Re)builds the tenant's dispatcher when its worker count or
-    /// deterministic flag moved since the rings were built. Only rebuilds
-    /// while the rings are empty, so no descriptor is ever stranded.
+    /// (Re)builds the tenant's dispatcher when its worker count moved since
+    /// the rings were built. Only rebuilds while the rings are empty, so no
+    /// descriptor is ever stranded.
     void ensure_rings(Tenant& t);
     /// Pushes counter deltas (stats - reported) and the gauges into the
     /// metrics registry.
@@ -252,7 +247,6 @@ private:
 
     NicModel base_;
     RingConfig ring_cfg_;
-    bool deterministic_ = false;
     double now_ = 0.0;
     std::vector<std::unique_ptr<Tenant>> tenants_;
     mutable telemetry::MetricsRegistry metrics_;

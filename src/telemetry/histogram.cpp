@@ -58,6 +58,9 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
 }
 
 void LatencyHistogram::reset() {
+    // record_value and merge touch a bucket only when they raise count_, so
+    // an empty histogram is already all zero: idle lanes skip the fill.
+    if (count_ == 0) return;
     buckets_.fill(0);
     count_ = 0;
     sum_ = 0.0;

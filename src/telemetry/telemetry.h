@@ -19,7 +19,7 @@
 // false: every hot-path recording site is guarded by `if constexpr
 // (telemetry::kEnabled)` and TELEMETRY_SPAN expands to nothing, so the cost
 // is zero by construction (bench/micro_telemetry verifies). Telemetry only
-// observes — deterministic mode stays bit-identical with it enabled.
+// observes — a one-worker poll stays bit-identical with it enabled.
 #pragma once
 
 #ifndef PIPELEON_TELEMETRY

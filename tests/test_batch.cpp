@@ -98,7 +98,8 @@ TEST(Batch, ControlPlaneUpdatesDuringBatchesAreFenced) {
             e.key = {ir::FieldMatch::exact(next_key++)};
             e.action_index = 0;
             emu.insert_entry("t0", e);
-            emu.invalidate_caches_covering("t1");
+            emu.mirror({StoreChange::Kind::Erase, "t1", {},
+                        {ir::FieldMatch::exact(~0ull)}, {}});
             emu.read_counters();
             std::this_thread::yield();
         }

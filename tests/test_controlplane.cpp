@@ -267,7 +267,8 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
         if (!emu.insert_entry("t0", exact_entry(key++, 0))) ++refused;
         ++inserted;
         if (inserted % 256 == 0) {
-            emu.invalidate_caches_covering("t1");  // returns -1 when deferred
+            emu.mirror({sim::StoreChange::Kind::Erase, "t1", {},
+                        {FieldMatch::exact(~0ull)}, {}});
         }
         if (inserted >= 512 && emu.control_stats().ops_deferred > 0) break;
     }

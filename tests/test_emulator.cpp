@@ -524,9 +524,10 @@ TEST(Emulator, CacheInvalidation) {
     p.set(dst, 2);
     emu.process(p);
     EXPECT_EQ(emu.cache_size("cache_A_B"), 1u);
-    EXPECT_EQ(emu.invalidate_caches_covering("A"), 1);
-    EXPECT_EQ(emu.cache_size("cache_A_B"), 0u);
-    EXPECT_EQ(emu.invalidate_caches_covering("unrelated"), 0);
+    emu.mirror({StoreChange::Kind::Insert, "unrelated", exact_entry(1, 0), {}, {}});
+    EXPECT_EQ(emu.cache_size("cache_A_B"), 1u);  // uncovered: stays warm
+    emu.mirror({StoreChange::Kind::Insert, "A", exact_entry(1, 0, {11}), {}, {}});
+    EXPECT_EQ(emu.cache_size("cache_A_B"), 0u);  // covered: cleared (§3.2.2)
 }
 
 TEST(Emulator, MigrationCostCharged) {

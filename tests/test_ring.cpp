@@ -2,8 +2,8 @@
 // plane's only batch ingress: SPSC ring correctness (wraparound,
 // drop-on-full accounting, two-thread stress for TSan), RSS dispatch
 // agreement with steer_worker, poll semantics (completion conservation,
-// cycle budgets and full TX rings leaving backlog, epoch refresh,
-// worker-count-mismatch fallback), offered-load pacing, and the
+// cycle budgets and full TX rings leaving backlog, epoch refresh, rings
+// built for another worker count), offered-load pacing, and the
 // ring-vs-process() equivalence over every poll mode.
 #include <gtest/gtest.h>
 
@@ -320,7 +320,7 @@ TEST(RingPoll, PollIsControlDrainBoundary) {
     (void)out;
 }
 
-TEST(RingPoll, WorkerCountMismatchFallsBackInOrder) {
+TEST(RingPoll, SpareLanesIdleWhenWorkersOutnumberQueues) {
     Program p = chain_program();
     Emulator emu(nic(), p, {});
     emu.set_worker_count(2);
@@ -334,10 +334,10 @@ TEST(RingPoll, WorkerCountMismatchFallsBackInOrder) {
     PacketBatch batch = wl.next_batch(emu.fields(), 128);
     const std::size_t accepted = io.dispatch_batch(batch);
     BatchResult out = emu.poll(io);
-    // Still correct — every accepted packet completes — just serviced in
-    // order on the calling thread.
+    // Every accepted packet completes on the pool: lanes 0 and 1 serve the
+    // two queues, and lanes 2 and 3 idle instead of indexing a missing one.
     EXPECT_EQ(out.ring_completed, accepted);
-    EXPECT_EQ(out.workers_used, 1);
+    EXPECT_EQ(out.workers_used, 4);
 }
 
 TEST(RingPoll, EpochSwapRefreshesSteeringFields) {
@@ -400,7 +400,7 @@ TEST(OfferedLoad, OfferDispatchesAndAccountsDrops) {
 // ----------------------------------------------- equivalence (the ORACLE)
 
 enum class EquivProgram : int { Plain, Cached, CachedSampled };
-enum class EquivMode : int { OneWorker, Deterministic, Parallel };
+enum class EquivMode : int { OneWorker, StaleQueues, Parallel };
 /// Two ints, no padding: the case names stay byte-stable.
 struct EquivCase {
     EquivProgram program;
@@ -410,10 +410,10 @@ struct EquivCase {
 class RingVsScalar : public ::testing::TestWithParam<EquivCase> {};
 
 /// The ring path against the process() oracle over the same packets and the
-/// same entry inserts. One worker and four deterministic workers (one
-/// in-order queue) match on every bit, latency sums included. Four parallel
-/// workers merge per-worker shards in worker order, so their integer
-/// counters match and only the float accumulation order may differ.
+/// same entry inserts. One worker matches on every bit, latency sums included.
+/// Four workers, and two on rings built for four (each lane serves two queues),
+/// merge per-worker shards in worker order: integer counters match, and only
+/// the float accumulation order may differ.
 TEST_P(RingVsScalar, MatchesProcessLoop) {
     const EquivCase c = GetParam();
     profile::InstrumentationConfig inst;
@@ -424,9 +424,9 @@ TEST_P(RingVsScalar, MatchesProcessLoop) {
     Emulator ring(nic(), p, inst);
     Emulator ref(nic(), p, inst);
     if (c.mode != EquivMode::OneWorker) ring.set_worker_count(4);
-    ring.set_deterministic(c.mode == EquivMode::Deterministic);
     RssDispatcher io = ring.make_rings();
-    ASSERT_EQ(io.queue_count(), c.mode == EquivMode::Parallel ? 4u : 1u);
+    ASSERT_EQ(io.queue_count(), c.mode == EquivMode::OneWorker ? 1u : 4u);
+    if (c.mode == EquivMode::StaleQueues) ring.set_worker_count(2);
 
     // t0..t2 learn every flow up front. t3 learns eight flows (action 1)
     // before each burst, so every insert moves live traffic off its default.
@@ -479,7 +479,7 @@ TEST_P(RingVsScalar, MatchesProcessLoop) {
     const util::RunningStats la = ring.latency_stats();
     const util::RunningStats lb = ref.latency_stats();
     EXPECT_EQ(la.count(), lb.count());
-    if (c.mode != EquivMode::Parallel) {
+    if (c.mode == EquivMode::OneWorker) {
         // Bit-equality, not near-equality: the accumulation order matches.
         EXPECT_EQ(la.sum(), lb.sum());
         EXPECT_EQ(la.min(), lb.min());
@@ -489,7 +489,7 @@ TEST_P(RingVsScalar, MatchesProcessLoop) {
 
 std::string equiv_case_name(const ::testing::TestParamInfo<EquivCase>& info) {
     static const char* const kPrograms[] = {"Plain", "Cached", "CachedSampled"};
-    static const char* const kModes[] = {"OneWorker", "Deterministic",
+    static const char* const kModes[] = {"OneWorker", "StaleQueues",
                                          "Parallel"};
     std::string name = kPrograms[static_cast<int>(info.param.program)];
     name += '_';
@@ -501,13 +501,13 @@ INSTANTIATE_TEST_SUITE_P(
     Ring, RingVsScalar,
     ::testing::Values(
         EquivCase{EquivProgram::Plain, EquivMode::OneWorker},
-        EquivCase{EquivProgram::Plain, EquivMode::Deterministic},
+        EquivCase{EquivProgram::Plain, EquivMode::StaleQueues},
         EquivCase{EquivProgram::Plain, EquivMode::Parallel},
         EquivCase{EquivProgram::Cached, EquivMode::OneWorker},
-        EquivCase{EquivProgram::Cached, EquivMode::Deterministic},
+        EquivCase{EquivProgram::Cached, EquivMode::StaleQueues},
         EquivCase{EquivProgram::Cached, EquivMode::Parallel},
         EquivCase{EquivProgram::CachedSampled, EquivMode::OneWorker},
-        EquivCase{EquivProgram::CachedSampled, EquivMode::Deterministic},
+        EquivCase{EquivProgram::CachedSampled, EquivMode::StaleQueues},
         EquivCase{EquivProgram::CachedSampled, EquivMode::Parallel}),
     equiv_case_name);
 

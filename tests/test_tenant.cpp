@@ -211,7 +211,6 @@ TEST(TenantRegistry, RateLimitAndConservationUnderMixedOverload) {
     sim::RingConfig rings;
     rings.rx_capacity = 32;  // small on purpose: force overflow drops
     TenantRegistry reg(nic(), rings);
-    reg.set_deterministic(true);
 
     TenantQuota qa;
     qa.ingress_pps = 2000.0;
@@ -260,14 +259,12 @@ TEST(TenantRegistry, SingleTenantBitIdenticalToDirectEmulator) {
 
     // Reference: today's single-tenant path, driven by hand.
     Emulator ref(nic(), chain(), {});
-    ref.set_deterministic(true);
     sim::RssDispatcher ref_io = ref.make_rings(rings);
     trafficgen::FlowSet flows_ref = make_flows(64, 77);
     trafficgen::Workload wl_ref(flows_ref, trafficgen::Locality::Zipf, 1.1, 99);
 
     // Same NIC, same program, same seeds — through the registry.
     TenantRegistry reg(nic(), rings);
-    reg.set_deterministic(true);
     TenantId t = reg.add_tenant("solo", chain());
     trafficgen::FlowSet flows_reg = make_flows(64, 77);
     trafficgen::Workload wl_reg(flows_reg, trafficgen::Locality::Zipf, 1.1, 99);
@@ -322,7 +319,6 @@ TenantTrace drive_tenant_a(bool with_noisy_b) {
     sim::RingConfig rings;
     rings.rx_capacity = 128;
     TenantRegistry reg(nic(), rings);
-    reg.set_deterministic(true);
 
     TenantId a = reg.add_tenant("a", chain());
     TenantId b = sim::kNoTenant;
@@ -410,7 +406,6 @@ TEST(TenantIsolation, NoisyNeighborChangesZeroBits) {
 TEST(TenantRegistry, TenantMetricLanesTrackStats) {
     if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
     TenantRegistry reg(nic());
-    reg.set_deterministic(true);
     TenantId a = reg.add_tenant("alpha", chain());
     TenantId b = reg.add_tenant("beta", chain("p_b"));
 
@@ -503,7 +498,6 @@ struct MultiFixture {
         : a(reg.add_tenant("a", chain("p_a"))),
           b(reg.add_tenant("b", chain("p_b"))),
           mc(reg, cost_model(), std::move(cfg)) {
-        reg.set_deterministic(true);
         mc.attach(a, chain("p_a"));
         mc.attach(b, chain("p_b"));
     }
@@ -647,7 +641,8 @@ TEST(TenantStress, TwoTenantReconfigureStormUnderThreads) {
             e.action_index = i % 2;
             be.insert_entry("t1", e);
             if (i % 4 == 3) be.set_entries("t1", {});
-            if (i % 16 == 7) be.invalidate_caches_covering("t0");
+            if (i % 16 == 7) be.mirror({sim::StoreChange::Kind::Erase, "t0", {},
+                                        {ir::FieldMatch::exact(~0ull)}, {}});
         }
     });
     std::thread swaps([&] {
