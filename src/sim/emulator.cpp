@@ -246,6 +246,7 @@ void Emulator::compile() {
     // restart from the fresh stores' zeroed stats.
     cache_shards_.clear();
     tier_reported_ = TierStats{};
+    tier_retired_ = TierStats{};
     populate_worker_state();
 }
 
@@ -263,22 +264,10 @@ Emulator::CacheSet Emulator::make_cache_set() const {
 }
 
 TierStats Emulator::tier_totals_unlocked() const {
-    TierStats total;
+    TierStats total = tier_retired_;
     for (const CacheSet& shard : cache_shards_) {
         for (const auto& store : shard) {
-            if (!store) continue;
-            const TierStats s = store->stats();
-            total.lookups += s.lookups;
-            total.sram_hits += s.sram_hits;
-            total.dram_hits += s.dram_hits;
-            total.host_hits += s.host_hits;
-            total.misses += s.misses;
-            total.promotions += s.promotions;
-            total.demotions += s.demotions;
-            total.drops += s.drops;
-            total.dma_batches += s.dma_batches;
-            total.dma_fetches += s.dma_fetches;
-            total.tier_cycles += s.tier_cycles;
+            if (store) total += store->stats();
         }
     }
     return total;
@@ -343,7 +332,13 @@ void Emulator::populate_worker_state() {
     const auto n = static_cast<std::size_t>(workers_);
     // Cheap bookkeeping on the control thread; heavy allocations deferred to
     // init_worker_state on the owners. Shard 0 (the scalar path's cache) and
-    // any other surviving shard keep their warm entries.
+    // any other surviving shard keep their warm entries; a shrink's dropped
+    // shards leave their tier stats behind in tier_retired_.
+    for (std::size_t w = n; w < cache_shards_.size(); ++w) {
+        for (const auto& store : cache_shards_[w]) {
+            if (store) tier_retired_ += store->stats();
+        }
+    }
     cache_shards_.resize(n);
     worker_counters_.resize(n);
     scratch_.resize(n);
@@ -1056,6 +1051,11 @@ void Emulator::begin_window_unlocked() {
     for (auto& t : tables_) {
         if (t) t->reset_update_count();
     }
+    for (CacheSet& shard : cache_shards_) {
+        for (auto& store : shard) {
+            if (store) store->reset_inserts_dropped();
+        }
+    }
 }
 
 void Emulator::begin_window() {
@@ -1364,7 +1364,10 @@ Emulator::ReconfigureStats Emulator::reconfigure_incremental_unlocked(
                         node.table.origin_tables.end(), same_as_before)) {
             std::size_t n = std::min(sit->second.size(), cache_shards_.size());
             for (std::size_t w = 0; w < n; ++w) {
-                if (sit->second[w]) cache_shards_[w][i] = std::move(sit->second[w]);
+                if (!sit->second[w]) continue;
+                // The swap began a window, and limiter drops count per window.
+                sit->second[w]->reset_inserts_dropped();
+                cache_shards_[w][i] = std::move(sit->second[w]);
             }
             ++stats.caches_kept_warm;
         }

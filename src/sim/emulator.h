@@ -441,7 +441,8 @@ private:
     /// pending promotions, and folds tier.* metric deltas. Runs under
     /// control_mu_ with the workers quiesced.
     void flush_tier_stores_unlocked();
-    /// Sums the monotonic TierStats over every live store.
+    /// Sums the monotonic TierStats over every live store and the stores a
+    /// worker-count shrink dropped.
     TierStats tier_totals_unlocked() const;
     /// Sizes per-worker state (cache shards, counter shards, scratch) to
     /// workers_. Existing cache shards (and their warm entries) are kept;
@@ -603,6 +604,9 @@ private:
     bool has_tiered_ = false;
     /// Last tier totals folded into the tier.* metrics (delta baseline).
     TierStats tier_reported_;
+    /// Lifetime stats of the shards a worker-count shrink dropped, kept in
+    /// the totals so the tier.* counters never run backwards.
+    TierStats tier_retired_;
 
     int workers_ = 1;
     bool pin_workers_ = true;

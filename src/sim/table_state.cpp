@@ -1,6 +1,7 @@
 #include "sim/table_state.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace pipeleon::sim {
 
@@ -160,41 +161,76 @@ void CacheStore::lru_push_front(std::uint32_t s) {
     if (tail_ == kNil) tail_ = s;
 }
 
+void CacheStore::lru_touch(std::uint32_t s) {
+    if (head_ != s) {
+        lru_unlink(s);
+        lru_push_front(s);
+    }
+}
+
+// --------------------------------------------------------------- slots
+
+std::uint32_t CacheStore::claim(std::uint64_t h) {
+    while (live_ >= config_.capacity) evict_tail();
+    // Keep the linear-probe clusters short: grow at ~70% occupancy.
+    if (index_.empty() || (live_ + 1) * 10 >= index_.size() * 7) index_grow();
+
+    std::uint32_t s;
+    if (!free_.empty()) {
+        s = free_.back();
+        free_.pop_back();
+    } else {
+        s = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    Slot& slot = slots_[s];
+    slot.hash = h;
+    slot.hits = 0;
+    slot.epoch = epoch_;
+    lru_push_front(s);
+    index_insert(h, s);
+    ++live_;
+    return s;
+}
+
+void CacheStore::unlink(std::uint32_t s) {
+    index_erase(probe(slots_[s].key, slots_[s].hash));
+    lru_unlink(s);
+}
+
+void CacheStore::release(std::uint32_t s) {
+    // The slot keeps its key/word-run capacity for the next refill (the
+    // allocation-free path).
+    slots_[s].key.clear();
+    slots_[s].entry.words.clear();
+    free_.push_back(s);
+    --live_;
+}
+
 void CacheStore::evict_tail() {
     const std::uint32_t victim = tail_;
-    index_erase(probe(slots_[victim].key, slots_[victim].hash));
-    lru_unlink(victim);
+    unlink(victim);
+    ++evictions_;
     // Demotion hook: hand the victim to the sink (which swaps the contents
     // away) before recycling the slot.
     if (evict_sink_ != nullptr) {
         evict_sink_(evict_ctx_, slots_[victim].key, slots_[victim].entry);
     }
-    // Recycle: the slot keeps its key/word-run capacity for the next
-    // insert (the allocation-free refill path).
-    slots_[victim].key.clear();
-    slots_[victim].entry.words.clear();
-    free_.push_back(victim);
-    --live_;
+    release(victim);
 }
 
 // ------------------------------------------------------------ operations
 
 const CacheStore::CacheEntry* CacheStore::lookup(const KeyVec& key) {
     if (live_ == 0) return nullptr;
-    return lookup_hashed(key, KeyVecHash{}(key));
+    return lookup_hashed(key, key_hash(key));
 }
 
 const CacheStore::CacheEntry* CacheStore::lookup_hashed(const KeyVec& key,
                                                         std::uint64_t h) {
-    if (live_ == 0) return nullptr;
-    const std::size_t pos = probe(key, h);
-    if (index_[pos].slot == kNil) return nullptr;
-    const std::uint32_t s = index_[pos].slot;
-    // Touch: move to the front of the LRU order.
-    if (head_ != s) {
-        lru_unlink(s);
-        lru_push_front(s);
-    }
+    const std::uint32_t s = find(key, h);
+    if (s == kNil) return nullptr;
+    lru_touch(s);
     return &slots_[s].entry;
 }
 
@@ -211,79 +247,70 @@ bool CacheStore::insert(const KeyVec& key, CacheEntry entry, double now_seconds)
         return false;
     }
 
-    const std::uint64_t h = KeyVecHash{}(key);
-    if (!index_.empty()) {
-        const std::size_t pos = probe(key, h);
-        if (index_[pos].slot != kNil) {
-            // Refresh the existing entry.
-            const std::uint32_t s = index_[pos].slot;
-            slots_[s].entry = std::move(entry);
-            if (head_ != s) {
-                lru_unlink(s);
-                lru_push_front(s);
-            }
-            tokens_ -= 1.0;
-            return true;
-        }
-    }
-    while (live_ >= config_.capacity && live_ > 0) evict_tail();
-    if (config_.capacity == 0) return false;
-
-    // Keep the linear-probe clusters short: grow at ~70% occupancy.
-    if (index_.empty() || (live_ + 1) * 10 >= index_.size() * 7) index_grow();
-
-    std::uint32_t s;
-    if (!free_.empty()) {
-        s = free_.back();
-        free_.pop_back();
-        slots_[s].key = key;  // reuses the recycled vector's capacity
-        slots_[s].entry = std::move(entry);
+    const std::uint64_t h = key_hash(key);
+    std::uint32_t s = find(key, h);
+    if (s != kNil) {
+        lru_touch(s);  // refresh the existing entry
+    } else if (config_.capacity == 0) {
+        return false;
     } else {
-        s = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(Slot{key, std::move(entry)});
+        s = claim(h);
+        slots_[s].key = key;  // reuses the recycled vector's capacity
     }
-    slots_[s].hash = h;
-    lru_push_front(s);
-    index_insert(h, s);
-    ++live_;
+    slots_[s].entry = std::move(entry);
     tokens_ -= 1.0;
     return true;
 }
 
-void CacheStore::promote_swap(KeyVec& key, CacheEntry& entry) {
-    if (config_.capacity == 0) return;
-    const std::uint64_t h = KeyVecHash{}(key);
-    if (!index_.empty()) {
-        const std::size_t pos = probe(key, h);
-        if (index_[pos].slot != kNil) {
-            // Already resident (tiers are normally disjoint; be safe):
-            // refresh in place.
-            const std::uint32_t s = index_[pos].slot;
-            std::swap(slots_[s].entry, entry);
-            if (head_ != s) {
-                lru_unlink(s);
-                lru_push_front(s);
-            }
-            return;
-        }
-    }
-    while (live_ >= config_.capacity && live_ > 0) evict_tail();
-    if (index_.empty() || (live_ + 1) * 10 >= index_.size() * 7) index_grow();
+std::uint32_t CacheStore::find(const KeyVec& key, std::uint64_t h) const {
+    if (live_ == 0) return kNil;
+    return index_[probe(key, h)].slot;
+}
 
-    std::uint32_t s;
-    if (!free_.empty()) {
-        s = free_.back();
-        free_.pop_back();
-    } else {
-        s = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(Slot{});
+std::uint32_t CacheStore::touch(std::uint32_t s) {
+    Slot& slot = slots_[s];
+    if (slot.epoch != epoch_) {
+        // Lazy decay: one halving per epoch elapsed since the last touch.
+        const std::uint32_t d = epoch_ - slot.epoch;
+        slot.hits = d >= 32 ? 0 : (slot.hits >> d);
+        slot.epoch = epoch_;
     }
+    ++slot.hits;
+    lru_touch(s);
+    return slot.hits;
+}
+
+bool CacheStore::holds(std::uint32_t s, std::uint64_t h) const {
+    // A slot is live exactly while an index cell points at it.
+    return s < slots_.size() && slots_[s].hash == h &&
+           index_[probe(slots_[s].key, h)].slot == s;
+}
+
+void CacheStore::swap_in(KeyVec& key, CacheEntry& entry) {
+    const std::uint64_t h = key_hash(key);
+    std::uint32_t s = find(key, h);
+    if (s != kNil) {
+        lru_touch(s);
+    } else {
+        s = claim(h);
+        std::swap(slots_[s].key, key);
+    }
+    std::swap(slots_[s].entry, entry);
+}
+
+void CacheStore::extract(std::uint32_t s, KeyVec& key, CacheEntry& entry) {
+    unlink(s);
     std::swap(slots_[s].key, key);
     std::swap(slots_[s].entry, entry);
-    slots_[s].hash = h;
-    lru_push_front(s);
-    index_insert(h, s);
-    ++live_;
+    release(s);
+}
+
+bool CacheStore::erase(const KeyVec& key, std::uint64_t h) {
+    const std::uint32_t s = find(key, h);
+    if (s == kNil) return false;
+    unlink(s);
+    release(s);
+    return true;
 }
 
 void CacheStore::clear() {
@@ -298,14 +325,10 @@ void CacheStore::clear() {
              index_[i].slot != kNil; i = (i + 1) & mask) {
             index_[i] = IndexCell{};
         }
-        slots_[s].key.clear();
-        slots_[s].entry.words.clear();
-        slots_[s].prev = slots_[s].next = kNil;
-        free_.push_back(s);
+        release(s);
         s = next;
     }
     head_ = tail_ = kNil;
-    live_ = 0;
 }
 
 }  // namespace pipeleon::sim

@@ -1,9 +1,9 @@
 // sim/table_state.h — runtime state of deployed tables: the entry list plus
-// its match engine for regular tables, and the flow-cache store (LRU with an
-// insertion rate limiter, §3.2.2) for cache tables. A cache entry is one
-// flat word run holding the recorded per-covered-table outcomes a hit
-// re-executes; each outcome names a replay slot of the epoch, whose counter
-// feeds the counter map (§4.1.2).
+// its match engine for regular tables, and the flow-state store (LRU with an
+// insertion rate limiter, §3.2.2) for cache tables and each of their memory
+// tiers. A cache entry is one flat word run holding the recorded
+// per-covered-table outcomes a hit re-executes; each outcome names a replay
+// slot of the epoch, whose counter feeds the counter map (§4.1.2).
 #pragma once
 
 #include <cstdint>
@@ -76,23 +76,26 @@ private:
     std::uint64_t updates_ = 0;
 };
 
-/// Exact-match LRU flow cache with an insertion rate limiter.
+/// Exact-match LRU flow-state store: the flow cache (§3.2.2) and every tier
+/// of sim::TieredStore (DESIGN.md §14).
 ///
-/// Storage (ISSUE 5): one contiguous slot array with *intrusive* prev/next
-/// LRU indices plus a flat open-addressing (linear-probe, backward-shift
-/// delete) hash index mapping key hash -> slot. The previous
-/// std::list + unordered_map layout paid two node allocations and several
-/// dependent pointer loads per probe/insert; here a probe is a linear scan
-/// of (hash, slot) cells and an LRU touch is three index writes. Slot and
-/// index storage grow geometrically and are recycled through a free list,
-/// so a warm cache performs zero heap allocations per lookup, touch,
-/// insert, or eviction (recycled slots reuse their key/word-run
-/// capacity). Semantics — LRU eviction order, refresh-on-reinsert, the
-/// token-bucket insertion limiter, and zero-capacity behavior — are
-/// bit-identical to the list-based store (tests mirror randomized op
-/// sequences against a reference implementation).
+/// Storage: one contiguous slot array with *intrusive* prev/next LRU indices
+/// plus a flat open-addressing (linear-probe, backward-shift delete) hash
+/// index mapping key hash -> slot, so a probe is a linear scan of (hash,
+/// slot) cells and an LRU touch is three index writes. Slot and index
+/// storage grow geometrically and are recycled through a free list, so a
+/// warm store performs zero heap allocations per lookup, touch, insert,
+/// swap-in or eviction (recycled slots reuse their key/word-run capacity).
+///
+/// New flows enter through insert(), behind the token-bucket limiter. The
+/// lower tiers take state the hierarchy already admitted through swap_in(),
+/// and count hits per entry for the promotion policy; neither touches the
+/// limiter. Tests mirror randomized op sequences of both kinds against a
+/// list-based reference store, eviction order included.
 class CacheStore {
 public:
+    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;  ///< no slot
+
     explicit CacheStore(const ir::CacheConfig& config);
 
     /// One cached flow's replay run: per recorded covered-table outcome, a
@@ -109,7 +112,7 @@ public:
     /// recycled buffers (the demotion path of sim::TieredStore); whatever it
     /// leaves behind is cleared, capacity retained. Swap semantics keep the
     /// cascade allocation-free in both directions. No sink (the default)
-    /// means evictions discard, exactly as before.
+    /// means evictions discard.
     using EvictSink = void (*)(void* ctx, KeyVec& key, CacheEntry& entry);
     void set_evict_sink(EvictSink sink, void* ctx) {
         evict_sink_ = sink;
@@ -144,14 +147,34 @@ public:
     /// limiter has no budget.
     bool insert(const KeyVec& key, CacheEntry entry, double now_seconds);
 
-    /// Promotion insert (tiered store only): installs by *swapping* the
-    /// caller's buffers into a recycled slot — the caller gets the slot's
-    /// old vectors back, so neither side allocates in steady state — and
-    /// bypasses the token-bucket limiter (a promotion moves state the store
-    /// already admitted, it is not a new insertion). Evicts LRU victims at
-    /// capacity (cascading through the sink). Never called in single-tier
-    /// mode, which keeps flat-LRU behavior bit-identical.
-    void promote_swap(KeyVec& key, CacheEntry& entry);
+    /// Slot holding `key` (hash `h`), or kNil. Touches nothing.
+    std::uint32_t find(const KeyVec& key, std::uint64_t h) const;
+
+    /// LRU-touches slot `s` and counts a hit; returns the count, halved
+    /// once per decay epoch since the slot's last touch.
+    std::uint32_t touch(std::uint32_t s);
+
+    const CacheEntry& entry(std::uint32_t s) const { return slots_[s].entry; }
+
+    /// True while slot `s` holds a live entry whose key hashes to `h`: the
+    /// re-check of a slot remembered across later moves and evictions.
+    bool holds(std::uint32_t s, std::uint64_t h) const;
+
+    /// Installs by swapping the caller's buffers into a recycled slot (the
+    /// caller gets the slot's old capacity back), without the limiter. A
+    /// resident key takes the new entry and keeps its hit count. Evicts
+    /// LRU victims through the sink at capacity, which must be nonzero.
+    void swap_in(KeyVec& key, CacheEntry& entry);
+
+    /// Removes slot `s`, swapping its contents out into key/entry.
+    void extract(std::uint32_t s, KeyVec& key, CacheEntry& entry);
+
+    /// Removes `key` (hash `h`) if present; its buffers are recycled.
+    bool erase(const KeyVec& key, std::uint64_t h);
+
+    /// Starts a decay epoch: every hit count halves once per epoch, applied
+    /// when its slot is next touched.
+    void advance_epoch() { ++epoch_; }
 
     /// Full invalidation (covered-table update, or redeployment). Slot and
     /// index capacity are retained — invalidations are frequent (§3.2.2)
@@ -162,20 +185,25 @@ public:
 
     std::size_t size() const { return live_; }
     std::size_t capacity() const { return config_.capacity; }
+    /// LRU evictions over the store's lifetime (clear() evicts none).
+    std::uint64_t evictions() const { return evictions_; }
+    /// Inserts the limiter dropped since the last reset_inserts_dropped().
     std::uint64_t inserts_dropped() const { return inserts_dropped_; }
+    void reset_inserts_dropped() { inserts_dropped_ = 0; }
 
 private:
-    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
     /// One cached flow: payload, its key hash (evictions, index growth and
-    /// clear() find its cell without rehashing), plus intrusive LRU links
-    /// (slot indices, not pointers — stable across slot-array growth).
+    /// clear() find its cell without rehashing), intrusive LRU links (slot
+    /// indices, not pointers — stable across slot-array growth), and the
+    /// hit count of the lower tiers' promotion policy.
     struct Slot {
         KeyVec key;
         CacheEntry entry;
         std::uint64_t hash = 0;
         std::uint32_t prev = kNil;
         std::uint32_t next = kNil;
+        std::uint32_t hits = 0;   ///< touch() count, decayed up to `epoch`
+        std::uint32_t epoch = 0;  ///< decay epoch `hits` was last brought to
     };
     /// One open-addressing cell: the key's hash (so probes compare one word
     /// before touching the slot, and deletes can recompute home positions)
@@ -196,7 +224,16 @@ private:
 
     void lru_unlink(std::uint32_t s);
     void lru_push_front(std::uint32_t s);
-    /// Evicts the LRU tail back into the free list.
+    void lru_touch(std::uint32_t s);
+
+    /// Evicts at capacity, then takes a slot for hash `h`, links it at the
+    /// LRU front and indexes it; the caller fills its key and entry.
+    std::uint32_t claim(std::uint64_t h);
+    /// Takes slot `s` out of the index and the LRU order.
+    void unlink(std::uint32_t s);
+    /// Returns unlinked slot `s` to the free list, its buffers cleared.
+    void release(std::uint32_t s);
+    /// Evicts the LRU tail through the sink.
     void evict_tail();
 
     ir::CacheConfig config_;
@@ -206,6 +243,8 @@ private:
     std::uint32_t head_ = kNil;        ///< most recently used
     std::uint32_t tail_ = kNil;        ///< least recently used (evicted first)
     std::size_t live_ = 0;
+    std::uint32_t epoch_ = 0;          ///< decay epoch (advance_epoch)
+    std::uint64_t evictions_ = 0;
     // Token-bucket limiter for insertions.
     double tokens_;
     double last_refill_ = 0.0;

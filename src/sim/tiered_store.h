@@ -1,32 +1,33 @@
 // sim/tiered_store.h — hierarchical flow-state memory (DESIGN.md §14): a
 // three-tier store scaling the flow cache from the on-NIC SRAM budget to
-// tens of millions of flows.
+// tens of millions of flows. Every tier is a sim::CacheStore:
 //
-//   tier 0  SRAM      the existing flat open-addressing LRU (CacheStore),
-//                     unchanged hot path;
-//   tier 1  NIC DRAM  a larger FlatTier, each access charged l_tier_dram
+//   tier 0  SRAM      the flow cache, the only tier behind the insertion
+//                     limiter;
+//   tier 1  NIC DRAM  a larger store, each access charged l_tier_dram
 //                     extra cycles;
-//   tier 2  host      the largest FlatTier reached over the emulated DMA
+//   tier 2  host      the largest store, reached over the emulated DMA
 //                     engine: l_tier_host extra cycles plus a descriptor-
 //                     batched fetch (sim/host_dma.h).
 //
 // Movement between tiers:
-//   * demotion — an eviction from tier k cascades into tier k+1 through the
-//     CacheStore/FlatTier eviction sinks. The victim's buffers are swapped,
-//     not copied, so the cascade is allocation-free.
-//   * promotion — profile-driven. Every lower-tier hit bumps a per-entry
-//     counter (plain non-atomic u32 in the slot: the hot path stays free of
-//     shared state); when it crosses `promote_hits` the entry is queued on a
-//     bounded pending list and moved one tier up at the next batch boundary
-//     (flush_batch), never mid-batch. Counters decay by halving every
-//     `decay_every` flushes so old heat expires; decay is applied lazily at
-//     touch time from an epoch delta, keeping flushes O(pending) instead of
-//     O(live).
+//   * demotion — an eviction from a tier swaps into the next enabled tier
+//     below through the store's eviction sink; the bottom tier's evictions
+//     drop. The victim's buffers are swapped, not copied, so the cascade is
+//     allocation-free.
+//   * promotion — profile-driven. Every lower-tier hit bumps the entry's
+//     hit count (plain non-atomic u32 in the slot: the hot path stays free
+//     of shared state); when it crosses `promote_hits` the entry is queued
+//     on a bounded pending list and moved one tier up at the next batch
+//     boundary (flush_batch), never mid-batch. Counts decay by halving
+//     every `decay_every` flushes so old heat expires; decay is applied
+//     lazily at touch time from an epoch delta, keeping flushes O(pending)
+//     instead of O(live).
 //
 // Single-tier mode (tiers disabled in ir::TierConfig) delegates every
-// operation straight to the embedded CacheStore with no sink installed —
-// behavior is bit-identical to the flat LRU by construction (test-enforced:
-// randomized op mirroring in tests/test_tiered_store.cpp).
+// operation straight to the SRAM store with no sink installed — behavior is
+// bit-identical to the flat LRU by construction (test-enforced: randomized
+// op mirroring in tests/test_tiered_store.cpp).
 //
 // Invariant: a key lives in at most one tier. Lookups probe top-down, so
 // tier 0 always answers first; inserts land in tier 0 and erase any stale
@@ -70,95 +71,21 @@ struct TierStats {
     std::uint64_t dma_batches = 0;
     std::uint64_t dma_fetches = 0;
     double tier_cycles = 0.0;  ///< extra cycles charged for tier-1/2 access
-};
 
-/// Lower-tier flat store: the CacheStore layout (contiguous slots, intrusive
-/// LRU links, linear-probe index with backward-shift deletion, slot free
-/// list) plus per-slot hit counters with lazy epoch decay and slot-addressed
-/// extraction for promotion. No insertion limiter — demotions and
-/// promotions move already-admitted state.
-class FlatTier {
-public:
-    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-    using Entry = CacheStore::CacheEntry;
-    using EvictSink = void (*)(void* ctx, KeyVec& key, Entry& entry);
-
-    explicit FlatTier(std::size_t capacity) : capacity_(capacity) {}
-
-    void set_evict_sink(EvictSink sink, void* ctx) {
-        evict_sink_ = sink;
-        evict_ctx_ = ctx;
+    TierStats& operator+=(const TierStats& o) {
+        lookups += o.lookups;
+        sram_hits += o.sram_hits;
+        dram_hits += o.dram_hits;
+        host_hits += o.host_hits;
+        misses += o.misses;
+        promotions += o.promotions;
+        demotions += o.demotions;
+        drops += o.drops;
+        dma_batches += o.dma_batches;
+        dma_fetches += o.dma_fetches;
+        tier_cycles += o.tier_cycles;
+        return *this;
     }
-
-    /// Slot holding `key` (hash `h`), or kNil. Does not touch LRU/hits.
-    std::uint32_t find(const KeyVec& key, std::uint64_t h) const;
-
-    /// LRU-front + lazily-decayed hit-count bump; returns the new count.
-    std::uint32_t touch(std::uint32_t s);
-
-    const Entry& entry(std::uint32_t s) const { return slots_[s].entry; }
-    std::uint64_t slot_hash(std::uint32_t s) const { return slots_[s].hash; }
-    bool slot_live(std::uint32_t s) const {
-        return s < slots_.size() && slots_[s].live;
-    }
-
-    /// Installs by swapping the caller's buffers into a recycled slot (the
-    /// caller gets the slot's old capacity back). Evicts the LRU tail
-    /// through the sink at capacity. With capacity 0 the entry goes
-    /// straight to the sink (or is discarded).
-    void insert_swap(KeyVec& key, Entry& entry);
-
-    /// Removes slot `s`, swapping its contents out into key/entry.
-    void extract(std::uint32_t s, KeyVec& key, Entry& entry);
-
-    /// Removes `key` if present (contents discarded, buffers recycled).
-    bool erase(const KeyVec& key, std::uint64_t h);
-
-    /// Advances the decay epoch: every counter is halved once per epoch
-    /// step, applied lazily on the next touch.
-    void advance_epoch() { ++epoch_; }
-
-    /// Drops every entry in O(live entries) (index capacity retained).
-    void clear();
-    std::size_t size() const { return live_; }
-    std::size_t capacity() const { return capacity_; }
-
-private:
-    struct Slot {
-        KeyVec key;
-        Entry entry;
-        std::uint64_t hash = 0;
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
-        std::uint32_t hits = 0;
-        std::uint32_t epoch = 0;
-        bool live = false;
-    };
-    struct IndexCell {
-        std::uint64_t hash = 0;
-        std::uint32_t slot = kNil;
-    };
-
-    std::size_t probe(const KeyVec& key, std::uint64_t h) const;
-    void index_insert(std::uint64_t h, std::uint32_t slot);
-    void index_erase(std::size_t pos);
-    void index_grow();
-    void lru_unlink(std::uint32_t s);
-    void lru_push_front(std::uint32_t s);
-    void evict_tail();
-    void release_slot(std::uint32_t s);
-
-    std::size_t capacity_;
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_;
-    std::vector<IndexCell> index_;
-    std::uint32_t head_ = kNil;
-    std::uint32_t tail_ = kNil;
-    std::size_t live_ = 0;
-    std::uint32_t epoch_ = 0;
-    EvictSink evict_sink_ = nullptr;
-    void* evict_ctx_ = nullptr;
 };
 
 /// The SRAM -> DRAM -> host tiered flow-state store. Drop-in successor of a
@@ -169,7 +96,8 @@ public:
 
     TieredStore(const ir::CacheConfig& config, TierCosts costs);
 
-    // The demotion sinks capture `this`; moving would dangle them.
+    // The demotion sinks point at the member stores; moving would dangle
+    // them.
     TieredStore(const TieredStore&) = delete;
     TieredStore& operator=(const TieredStore&) = delete;
 
@@ -221,6 +149,7 @@ public:
     std::size_t tier_size(int tier) const;
 
     std::uint64_t inserts_dropped() const { return sram_.inserts_dropped(); }
+    void reset_inserts_dropped() { sram_.reset_inserts_dropped(); }
     bool tiered() const { return tiered_; }
     const ir::TierConfig& tier_config() const { return config_.tiers; }
 
@@ -228,12 +157,9 @@ public:
     TierStats stats() const;
 
 private:
-    static void demote_from_sram(void* ctx, KeyVec& key, CacheEntry& entry);
-    static void demote_from_dram(void* ctx, KeyVec& key, CacheEntry& entry);
-    static void demote_from_host(void* ctx, KeyVec& key, CacheEntry& entry);
-    /// Places an eviction victim from tier `from` into the next enabled
-    /// tier below, or counts a drop.
-    void demote(int from, KeyVec& key, CacheEntry& entry);
+    /// Eviction sink of every tier above the bottom one: swaps the victim
+    /// into `ctx`, the next enabled tier below.
+    static void demote(void* ctx, KeyVec& key, CacheEntry& entry);
     void maybe_queue_promotion(int tier, std::uint32_t slot,
                                std::uint64_t hash, std::uint32_t hits);
 
@@ -252,8 +178,8 @@ private:
     bool dram_enabled_ = false;
     bool host_enabled_ = false;
     CacheStore sram_;
-    FlatTier dram_;
-    FlatTier host_;
+    CacheStore dram_;
+    CacheStore host_;
     HostDmaEngine dma_;
     TierStats stats_;
     std::vector<Promo> pending_;  ///< reserved to kPendingCap up front

@@ -509,10 +509,22 @@ TEST(Emulator, CacheInsertionRateLimited) {
         emu.process(pkt);  // all at t=0: only the initial burst fits
     }
     EXPECT_LE(emu.cache_size("cache_A_B"), 1u);
-    auto raw = emu.read_counters();
-    EXPECT_GE(raw.inserts_dropped[static_cast<std::size_t>(
-                  emu.program().find_table("cache_A_B"))],
-              3u);
+    const auto cache = static_cast<std::size_t>(emu.program().find_table("cache_A_B"));
+    EXPECT_GE(emu.read_counters().inserts_dropped[cache], 3u);
+    // A window counts its own drops, like every other counter: a new window
+    // without packets reads none, also one begun by a swap that keeps the
+    // cache warm.
+    emu.begin_window();
+    EXPECT_EQ(emu.read_counters().inserts_dropped[cache], 0u);
+    for (std::uint64_t f = 5; f < 8; ++f) {
+        Packet pkt;
+        pkt.set(src, 100 + f);
+        pkt.set(dst, 100 + f);
+        emu.process(pkt);
+    }
+    ASSERT_GE(emu.read_counters().inserts_dropped[cache], 2u);
+    EXPECT_EQ(emu.reconfigure_incremental(emu.program()).caches_kept_warm, 1u);
+    EXPECT_EQ(emu.read_counters().inserts_dropped[cache], 0u);
 }
 
 TEST(Emulator, CacheInvalidation) {

@@ -1,11 +1,13 @@
 // Direct unit tests for sim/table_state: TableState entry management and
-// CacheStore LRU/limiter mechanics (the emulator tests exercise them
-// end-to-end; these pin down the data-structure contracts).
+// CacheStore mechanics — LRU, limiter, and the lower tiers' swap-in, hit
+// counts, extract and erase (the emulator tests exercise them end-to-end;
+// these pin down the data-structure contracts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <list>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -259,7 +261,9 @@ TEST(CacheStore, ZeroCapacityNeverStores) {
 // behavior: hit/miss per lookup, accept/drop per insert, size, the
 // rate-limiter drop count, and (the sharp edge) identical eviction order.
 
-/// The pre-ISSUE-5 list-based store, kept here as the behavioral oracle.
+/// A std::list + unordered_map LRU store, kept here as the behavioral
+/// oracle, with the lower tiers' operations (no limiter, a hit count per
+/// entry).
 class ReferenceLruStore {
 public:
     explicit ReferenceLruStore(const ir::CacheConfig& config)
@@ -268,9 +272,8 @@ public:
     const CacheStore::CacheEntry* lookup(const KeyVec& key) {
         auto it = index_.find(key);
         if (it == index_.end()) return nullptr;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        it->second = lru_.begin();
-        return &lru_.front().second;
+        to_front(it);
+        return &lru_.front().entry;
     }
 
     bool insert(const KeyVec& key, CacheStore::CacheEntry entry,
@@ -287,22 +290,59 @@ public:
         }
         auto it = index_.find(key);
         if (it != index_.end()) {
-            it->second->second = std::move(entry);
-            lru_.splice(lru_.begin(), lru_, it->second);
-            it->second = lru_.begin();
+            it->second->entry = std::move(entry);
+            to_front(it);
             tokens_ -= 1.0;
             return true;
         }
-        while (lru_.size() >= config_.capacity && !lru_.empty()) {
-            index_.erase(lru_.back().first);
-            lru_.pop_back();
-        }
+        while (lru_.size() >= config_.capacity && !lru_.empty()) evict_lru();
         if (config_.capacity == 0) return false;
-        lru_.emplace_front(key, std::move(entry));
-        index_.emplace(key, lru_.begin());
+        push_front(key, std::move(entry));
         tokens_ -= 1.0;
         return true;
     }
+
+    /// Installs without the limiter. A resident key takes the new entry and
+    /// keeps its hit count.
+    void swap_in(const KeyVec& key, CacheStore::CacheEntry entry) {
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            it->second->entry = std::move(entry);
+            to_front(it);
+            return;
+        }
+        while (lru_.size() >= config_.capacity) evict_lru();
+        push_front(key, std::move(entry));
+    }
+
+    /// The entry, without touching it; nullptr when absent.
+    const CacheStore::CacheEntry* peek(const KeyVec& key) const {
+        auto it = index_.find(key);
+        return it == index_.end() ? nullptr : &it->second->entry;
+    }
+
+    /// Touches the key and returns its hit count after this hit.
+    std::uint32_t touch(const KeyVec& key) {
+        auto it = index_.find(key);
+        to_front(it);
+        return ++lru_.front().hits;
+    }
+
+    /// Halves every hit count now; the store defers it to the next touch.
+    void advance_epoch() {
+        for (Item& item : lru_) item.hits >>= 1;
+    }
+
+    std::optional<CacheStore::CacheEntry> extract(const KeyVec& key) {
+        auto it = index_.find(key);
+        if (it == index_.end()) return std::nullopt;
+        CacheStore::CacheEntry entry = std::move(it->second->entry);
+        lru_.erase(it->second);
+        index_.erase(it);
+        return entry;
+    }
+
+    bool erase(const KeyVec& key) { return extract(key).has_value(); }
 
     void clear() {
         lru_.clear();
@@ -311,22 +351,46 @@ public:
 
     std::size_t size() const { return lru_.size(); }
     std::uint64_t inserts_dropped() const { return inserts_dropped_; }
+    /// Every key evicted so far, in eviction order.
+    const std::vector<KeyVec>& evicted() const { return evicted_; }
 
     /// Keys in LRU order, most recent first (eviction-order oracle).
     std::vector<KeyVec> keys_mru_to_lru() const {
         std::vector<KeyVec> keys;
-        for (const auto& [k, v] : lru_) keys.push_back(k);
+        for (const Item& item : lru_) keys.push_back(item.key);
         return keys;
     }
 
 private:
-    using LruList = std::list<std::pair<KeyVec, CacheStore::CacheEntry>>;
+    struct Item {
+        KeyVec key;
+        CacheStore::CacheEntry entry;
+        std::uint32_t hits = 0;
+    };
+    using LruList = std::list<Item>;
+    using Index = std::unordered_map<KeyVec, LruList::iterator, KeyVecHash>;
+
+    void to_front(Index::iterator it) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        it->second = lru_.begin();
+    }
+    void push_front(const KeyVec& key, CacheStore::CacheEntry entry) {
+        lru_.push_front(Item{key, std::move(entry)});
+        index_.emplace(key, lru_.begin());
+    }
+    void evict_lru() {
+        evicted_.push_back(lru_.back().key);
+        index_.erase(lru_.back().key);
+        lru_.pop_back();
+    }
+
     ir::CacheConfig config_;
     LruList lru_;
-    std::unordered_map<KeyVec, LruList::iterator, KeyVecHash> index_;
+    Index index_;
     double tokens_;
     double last_refill_ = 0.0;
     std::uint64_t inserts_dropped_ = 0;
+    std::vector<KeyVec> evicted_;
 };
 
 /// Drives both stores through the same randomized op sequence and checks
@@ -419,6 +483,98 @@ TEST(CacheStoreEquivalence, EvictionOrderIdenticalUnderTouches) {
             ref.lookup(k);  // keep the two LRU orders in lockstep
         }
     }
+}
+
+
+// ------------------------------------------------ lower-tier equivalence
+//
+// TieredStore's DRAM and host tiers use the store without its limiter:
+// swap-in, find plus a counted touch whose count halves per decay epoch,
+// extract and erase. These mirror randomized sequences of those ops
+// against ReferenceLruStore, which halves every count eagerly at each
+// epoch, and compare the eviction order victim by victim.
+
+void mirror_tier_ops(std::uint64_t seed, std::size_t capacity, int ops,
+                     std::uint64_t key_space) {
+    ir::CacheConfig cfg;
+    cfg.capacity = capacity;
+    CacheStore store(cfg);
+    ReferenceLruStore ref(cfg);
+    std::vector<KeyVec> evicted;
+    store.set_evict_sink(
+        [](void* ctx, KeyVec& key, CacheStore::CacheEntry&) {
+            static_cast<std::vector<KeyVec>*>(ctx)->push_back(key);
+        },
+        &evicted);
+    // A slot remembered from an earlier hit, as a queued promotion keeps it.
+    std::uint32_t kept_slot = CacheStore::kNil;
+    std::uint64_t kept_hash = 0;
+    KeyVec kept_key;
+    util::Rng rng(seed);
+    for (int op = 0; op < ops; ++op) {
+        const std::uint64_t k = rng.next_below(key_space);
+        const KeyVec key{k, k ^ 0xABCDu};
+        const std::uint64_t h = KeyVecHash{}(key);
+        const int what = static_cast<int>(rng.next_below(16));
+        if (what < 6) {
+            const std::uint32_t s = store.find(key, h);
+            const CacheStore::CacheEntry* want = ref.peek(key);
+            ASSERT_EQ(s != CacheStore::kNil, want != nullptr) << "find divergence op " << op;
+            if (want != nullptr) {
+                ASSERT_EQ(store.entry(s).words, want->words);
+                ASSERT_EQ(store.touch(s), ref.touch(key)) << "hit count op " << op;
+                kept_slot = s;
+                kept_hash = h;
+                kept_key = key;
+            }
+        } else if (what < 11) {
+            KeyVec in_key = key;
+            CacheStore::CacheEntry in_entry = make_payload(op);
+            store.swap_in(in_key, in_entry);
+            ref.swap_in(key, make_payload(op));
+        } else if (what < 13) {
+            const std::uint32_t s = store.find(key, h);
+            const std::optional<CacheStore::CacheEntry> want = ref.extract(key);
+            ASSERT_EQ(s != CacheStore::kNil, want.has_value()) << "extract divergence op " << op;
+            if (want.has_value()) {
+                KeyVec out_key;
+                CacheStore::CacheEntry out_entry;
+                store.extract(s, out_key, out_entry);
+                ASSERT_EQ(out_key, key);
+                ASSERT_EQ(out_entry.words, want->words);
+            }
+        } else if (what == 13) {
+            ASSERT_EQ(store.erase(key, h), ref.erase(key)) << "erase divergence op " << op;
+        } else if (what == 14) {
+            // Now and then more epochs than a count has bits.
+            const int epochs = rng.next_below(8) == 0 ? 40 : 1;
+            for (int e = 0; e < epochs; ++e) {
+                store.advance_epoch();
+                ref.advance_epoch();
+            }
+        } else if (rng.next_below(4) == 0) {
+            store.clear();
+            ref.clear();
+        }
+        ASSERT_EQ(store.size(), ref.size()) << "size divergence op " << op;
+        ASSERT_EQ(evicted.size(), ref.evicted().size()) << "eviction divergence op " << op;
+        // The remembered slot reads live only while its key is resident.
+        if (kept_slot != CacheStore::kNil && store.holds(kept_slot, kept_hash)) {
+            ASSERT_NE(ref.peek(kept_key), nullptr) << "dead slot live op " << op;
+        }
+    }
+    EXPECT_EQ(evicted, ref.evicted());
+    for (const KeyVec& k : ref.keys_mru_to_lru()) {
+        EXPECT_NE(store.find(k, KeyVecHash{}(k)), CacheStore::kNil);
+    }
+}
+
+TEST(CacheStoreEquivalence, TierOpsMirrorSmallTier) {
+    mirror_tier_ops(4, 8, 6000, 32);  // constant eviction pressure
+}
+
+TEST(CacheStoreEquivalence, TierOpsMirrorLargeKeySpace) {
+    mirror_tier_ops(5, 512, 8000, 4000);  // growth, rehash and sparse clears
 }
 
 }  // namespace

@@ -444,49 +444,6 @@ TEST(TieredStore, ClearEmptiesAllTiers) {
     EXPECT_EQ(store.lookup({42}).tier, 0);
 }
 
-/// FlatTier::clear walks only the live entries' probe runs: after the index
-/// has grown and been sparsely refilled, every old key is gone and the tier
-/// refills (inserts, LRU evictions, lookups) exactly like a fresh one.
-TEST(FlatTier, ClearOfGrownSparseIndexRefillsLikeFresh) {
-    FlatTier tier(256);
-    auto put = [](FlatTier& t, std::uint64_t k, int marker) {
-        KeyVec key{k};
-        CacheStore::CacheEntry e = payload(marker);
-        t.insert_swap(key, e);
-    };
-    auto find = [](const FlatTier& t, std::uint64_t k) {
-        const KeyVec key{k};
-        return t.find(key, KeyVecHash{}(key));
-    };
-    for (std::uint64_t k = 0; k < 256; ++k) put(tier, k, 1);
-    tier.clear();
-    for (std::uint64_t k : {3, 128, 255}) put(tier, k, 2);
-    tier.clear();
-    EXPECT_EQ(tier.size(), 0u);
-    for (std::uint64_t k = 0; k < 256; ++k) ASSERT_EQ(find(tier, k), FlatTier::kNil) << k;
-
-    FlatTier fresh(256);
-    util::Rng rng(9);
-    for (int op = 0; op < 4000; ++op) {
-        const std::uint64_t k = rng.next_below(400);
-        if (rng.next_below(2) == 0) {
-            const int marker = static_cast<int>(rng.next_below(100));
-            put(tier, k, marker);
-            put(fresh, k, marker);
-        } else {
-            const std::uint32_t a = find(tier, k);
-            const std::uint32_t b = find(fresh, k);
-            ASSERT_EQ(a == FlatTier::kNil, b == FlatTier::kNil) << "op " << op;
-            if (a != FlatTier::kNil) {
-                ASSERT_EQ(tier.entry(a).words, fresh.entry(b).words);
-                tier.touch(a);
-                fresh.touch(b);
-            }
-        }
-        ASSERT_EQ(tier.size(), fresh.size());
-    }
-}
-
 // ------------------------------------------------- emulator integration
 
 ir::Program tiered_cache_program(std::size_t sram, std::size_t dram) {
@@ -617,6 +574,46 @@ TEST(EmulatorTiered, TierMetricsAndBatchBoundaryPromotion) {
     EXPECT_EQ(snap.counter("tier.promotions"), 1u);
     EXPECT_GE(snap.counter("tier.demotions"), 2u);
     EXPECT_DOUBLE_EQ(snap.gauge("tier.cycles"), 2 * 30.0);
+}
+
+TEST(EmulatorTiered, TierCountersSurviveAWorkerShrink) {
+    if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+    NicModel model = tiered_model();
+    model.cores = 2;
+    Emulator emu(model, tiered_cache_program(4, 64), {});
+    for (std::uint64_t f = 0; f < 32; ++f) {
+        ir::TableEntry e;
+        e.key = {ir::FieldMatch::exact(f)};
+        e.action_index = 0;
+        e.action_data = {f};
+        ASSERT_TRUE(emu.insert_entry("A", e));
+    }
+    emu.set_worker_count(2);
+    ASSERT_EQ(emu.worker_count(), 2);
+    RssDispatcher io = emu.make_rings();
+    for (int round = 0; round < 4; ++round) {
+        PacketBatch batch;
+        for (std::uint64_t f = 0; f < 32; ++f) batch.push_back(flow_packet(emu, f));
+        ASSERT_EQ(io.dispatch_batch(batch), 32u);
+        ASSERT_EQ(emu.poll(io).ring_completed, 32u);
+    }
+    const char* const kCounters[] = {
+        "tier.lookups",    "tier.sram_hits",  "tier.dram_hits",
+        "tier.host_hits",  "tier.misses",     "tier.promotions",
+        "tier.demotions",  "tier.drops",      "tier.dma_batches",
+        "tier.dma_fetches"};
+    const telemetry::MetricsSnapshot before = emu.telemetry_snapshot();
+    ASSERT_EQ(before.counter("tier.lookups"), 128u);
+
+    // The shrink drops worker 1's shard and its lifetime stats with it.
+    emu.set_worker_count(1);
+    Packet p = flow_packet(emu, 0);
+    emu.process(p);
+    const telemetry::MetricsSnapshot after = emu.telemetry_snapshot();
+    EXPECT_EQ(after.counter("tier.lookups"), 129u);
+    for (const char* name : kCounters) {
+        EXPECT_GE(after.counter(name), before.counter(name)) << name;
+    }
 }
 
 TEST(EmulatorTiered, UntieredProgramReportsNoTierTraffic) {
