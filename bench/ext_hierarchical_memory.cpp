@@ -26,7 +26,7 @@
 #include "profile/counter_map.h"
 #include "sim/nic_model.h"
 #include "sim/tiered_store.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
 
 using namespace pipeleon;
 
@@ -404,18 +404,13 @@ int main() {
                 snap.counter("tier.promotions"),
                 snap.counter("tier.demotions"),
                 snap.counter("tier.dma_batches"));
-    if (telemetry::kEnabled) {
-        if (t_lookups != t_hits + snap.counter("tier.misses")) {
-            std::fprintf(stderr,
-                         "CONSERVATION VIOLATION in tier.* telemetry\n");
-            ok = false;
-        }
-        if (snap.counter("tier.dram_hits") + snap.counter("tier.host_hits") ==
-            0) {
-            std::fprintf(stderr,
-                         "tiered cache never reached its lower tiers\n");
-            ok = false;
-        }
+    if (t_lookups != t_hits + snap.counter("tier.misses")) {
+        std::fprintf(stderr, "CONSERVATION VIOLATION in tier.* telemetry\n");
+        ok = false;
+    }
+    if (snap.counter("tier.dram_hits") + snap.counter("tier.host_hits") == 0) {
+        std::fprintf(stderr, "tiered cache never reached its lower tiers\n");
+        ok = false;
     }
 
     // ------------------------------------------------------------- report

@@ -8,7 +8,8 @@
 //                              (counted by this binary's operator new hook;
 //                              the acceptance target is exactly 0)
 // Flags: --pin / --no-pin restrict the sweep to one pinning mode (default
-// sweeps both); the PIPELEON_PIN_WORKERS=0 env escape hatch still wins.
+// sweeps both). The unpinned arm runs with PIPELEON_PIN_WORKERS=0; the
+// pinned arm keeps the caller's value, so a caller's =0 still wins.
 // Emits BENCH_micro_batch.json (pipeleon.bench_report/1).
 #include <atomic>
 #include <chrono>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,6 +106,20 @@ std::vector<trafficgen::FieldRange> field_tuple() {
     return tuple;
 }
 
+/// The caller's PIPELEON_PIN_WORKERS, read once before the sweep sets it.
+std::optional<std::string> g_caller_pin;
+
+/// The pool reads PIPELEON_PIN_WORKERS whenever set_worker_count builds one.
+void set_pin_env(bool pin) {
+    if (!pin) {
+        ::setenv("PIPELEON_PIN_WORKERS", "0", 1);
+    } else if (g_caller_pin) {
+        ::setenv("PIPELEON_PIN_WORKERS", g_caller_pin->c_str(), 1);
+    } else {
+        ::unsetenv("PIPELEON_PIN_WORKERS");
+    }
+}
+
 struct SweepPoint {
     int workers = 1;
     bool pin = false;
@@ -122,7 +138,7 @@ SweepPoint run_config(const ir::Program& prog,
                       const trafficgen::FlowSet& flows, int workers,
                       bool pin, int batches) {
     sim::Emulator emu(sim::bluefield2_model(), prog, {});
-    emu.set_pin_workers(pin);
+    set_pin_env(pin);
     emu.set_worker_count(workers);
     apps::install_flow_entries(emu, flows);
     trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 31);
@@ -220,6 +236,9 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--pin") == 0) sweep_nopin = false;
         if (std::strcmp(argv[i], "--no-pin") == 0) sweep_pin = false;
     }
+    if (const char* env = std::getenv("PIPELEON_PIN_WORKERS")) {
+        g_caller_pin = env;
+    }
     const bool quick = bench::BenchEnv::quick();
     const int kBatches = quick ? 40 : 400;
     const int kRounds = quick ? 50 : 500;
@@ -256,6 +275,7 @@ int main(int argc, char** argv) {
             points.push_back(p);
         }
     }
+    set_pin_env(true);  // the caller's value again
 
     // Headline metrics: the best multi-worker config (what the data plane
     // would run with), plus the pin-vs-no-pin delta at the widest sweep.

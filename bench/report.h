@@ -30,8 +30,8 @@ public:
     double metric(const std::string& name) const { return report_.metric(name); }
 
     /// Fills the required emulator-derived metrics: latency_p50/p99 from the
-    /// current window's latency histogram (skipped when the window is empty
-    /// or telemetry is compiled out), drops and epochs from lifetime stats.
+    /// current window's latency histogram (skipped when the window is
+    /// empty), drops and epochs from lifetime stats.
     void from_emulator(const sim::Emulator& emulator) {
         telemetry::LatencyHistogram hist = emulator.latency_histogram();
         if (hist.count() > 0) {

@@ -113,12 +113,6 @@ int main(int argc, char** argv) {
     }
     if (windows <= 0 || packets <= 0 || workers <= 0) return usage(argv[0]);
 
-    if (!telemetry::kEnabled) {
-        std::printf("telemetry is compiled out (PIPELEON_TELEMETRY=OFF); the\n"
-                    "dashboard would show only zeros. Rebuild with the\n"
-                    "default configuration to use pipeleon_stats.\n");
-        return 0;
-    }
     if (!trace_path.empty()) telemetry::Tracer::global().set_enabled(true);
 
     // The canonical scenario: ACL routing on BlueField2 with a deny-heavy

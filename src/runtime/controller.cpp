@@ -205,9 +205,7 @@ void Controller::commit_deploy(PreparedDeploy prepared, TickResult& result) {
     result.downtime_s = stats.downtime_s;
     if (prepared.incremental) result.caches_kept_warm = stats.caches_kept_warm;
     result.deployed = true;
-    if constexpr (telemetry::kEnabled) {
-        emulator_.metrics().add(ctl_deploys_);
-    }
+    emulator_.metrics().add(ctl_deploys_);
 }
 
 TickResult Controller::deploy_external(ir::Program target) {
@@ -220,9 +218,7 @@ TickResult Controller::deploy_external(ir::Program target) {
         if (!diags.ok()) {
             result.verify_rejected = true;
             result.verify_diagnostics = std::move(diags);
-            if constexpr (telemetry::kEnabled) {
-                emulator_.metrics().add(ctl_rejects_);
-            }
+            emulator_.metrics().add(ctl_rejects_);
             util::log_warn(util::format(
                 "controller: verifier rejected external deploy (%zu findings)",
                 result.verify_diagnostics.size()));
@@ -236,9 +232,7 @@ TickResult Controller::deploy_external(ir::Program target) {
 TickResult Controller::tick() {
     TELEMETRY_SPAN("controller.tick");
     TickResult result;
-    if constexpr (telemetry::kEnabled) {
-        emulator_.metrics().add(ctl_ticks_);
-    }
+    emulator_.metrics().add(ctl_ticks_);
 
     profile::RuntimeProfile current = collect_profile();
     result.profiled = true;
@@ -332,9 +326,7 @@ TickResult Controller::tick() {
         result.outcome = std::move(outcome);
     }
 
-    if constexpr (telemetry::kEnabled) {
-        if (result.verify_rejected) emulator_.metrics().add(ctl_rejects_);
-    }
+    if (result.verify_rejected) emulator_.metrics().add(ctl_rejects_);
     last_profile_ = std::move(current);
     have_profile_ = true;
     api_.begin_window();

@@ -21,9 +21,6 @@
 namespace pipeleon::runtime {
 
 struct ControllerConfig {
-    /// How often the harness is expected to call tick() (virtual seconds);
-    /// informational, used for logging only.
-    double profile_interval_s = 5.0;
     search::OptimizerConfig optimizer;
     profile::ChangeDetector detector;
     /// When true, skip the search unless the profile moved; the first tick

@@ -1,7 +1,5 @@
 #include "sim/counter_shard.h"
 
-#include "telemetry/telemetry.h"
-
 namespace pipeleon::sim {
 
 void CounterShard::reset_for(const ir::Program& program,
@@ -22,7 +20,7 @@ void CounterShard::reset_for(const ir::Program& program,
     cache_misses.assign(n, 0);
     replays.assign(replay_slots, 0);
     latency = util::RunningStats{};
-    if constexpr (telemetry::kEnabled) latency_hist.reset();
+    latency_hist.reset();
     packets_total = 0;
     packets_dropped = 0;
 }
@@ -45,7 +43,7 @@ void CounterShard::absorb(const CounterShard& other) {
     add_vec(cache_misses, other.cache_misses);
     add_vec(replays, other.replays);
     latency.merge(other.latency);
-    if constexpr (telemetry::kEnabled) latency_hist.merge(other.latency_hist);
+    latency_hist.merge(other.latency_hist);
     packets_total += other.packets_total;
     packets_dropped += other.packets_dropped;
 }

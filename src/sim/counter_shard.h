@@ -30,8 +30,8 @@ struct CounterShard {
 
     util::RunningStats latency;
     /// Per-packet emulated latency (cycles) bucketed HDR-style — recorded
-    /// alongside `latency` on the hot path when telemetry is compiled in,
-    /// merged shard-wise like every other counter (ISSUE 4).
+    /// alongside `latency` on the hot path, merged shard-wise like every
+    /// other counter.
     telemetry::LatencyHistogram latency_hist;
     std::uint64_t packets_total = 0;
     std::uint64_t packets_dropped = 0;

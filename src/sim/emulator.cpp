@@ -72,7 +72,6 @@ Emulator::Emulator(NicModel model, ir::Program program,
     mid_.control_ops = metrics_.counter("sim.control_ops");
     mid_.control_op_failures = metrics_.counter("sim.control_op_failures");
     mid_.epochs = metrics_.counter("sim.epochs");
-    mid_.worker_packets = metrics_.counter("sim.worker_packets");
     mid_.workers_gauge = metrics_.gauge("sim.workers");
     mid_.batch_wall_ns = metrics_.histogram("sim.batch_wall_ns");
     mid_.batch_cycles = metrics_.histogram("sim.batch_cycles");
@@ -92,7 +91,6 @@ Emulator::Emulator(NicModel model, ir::Program program,
     mid_.tier_dma_batches = metrics_.counter("tier.dma_batches");
     mid_.tier_dma_fetches = metrics_.counter("tier.dma_fetches");
     mid_.tier_cycles = metrics_.gauge("tier.cycles");
-    metrics_.set_shard_count(static_cast<std::size_t>(workers_));
     metrics_.set_gauge(mid_.workers_gauge, static_cast<double>(workers_));
     compile();
     begin_window_unlocked();
@@ -283,35 +281,22 @@ void Emulator::flush_tier_stores_unlocked() {
             if (store && store->tiered()) store->flush_batch();
         }
     }
-    if constexpr (telemetry::kEnabled) {
-        const TierStats t = tier_totals_unlocked();
-        metrics_.add(mid_.tier_lookups, t.lookups - tier_reported_.lookups);
-        metrics_.add(mid_.tier_sram_hits,
-                     t.sram_hits - tier_reported_.sram_hits);
-        metrics_.add(mid_.tier_dram_hits,
-                     t.dram_hits - tier_reported_.dram_hits);
-        metrics_.add(mid_.tier_host_hits,
-                     t.host_hits - tier_reported_.host_hits);
-        metrics_.add(mid_.tier_misses, t.misses - tier_reported_.misses);
-        metrics_.add(mid_.tier_promotions,
-                     t.promotions - tier_reported_.promotions);
-        metrics_.add(mid_.tier_demotions,
-                     t.demotions - tier_reported_.demotions);
-        metrics_.add(mid_.tier_drops, t.drops - tier_reported_.drops);
-        metrics_.add(mid_.tier_dma_batches,
-                     t.dma_batches - tier_reported_.dma_batches);
-        metrics_.add(mid_.tier_dma_fetches,
-                     t.dma_fetches - tier_reported_.dma_fetches);
-        metrics_.set_gauge(mid_.tier_cycles, t.tier_cycles);
-        tier_reported_ = t;
-    }
-}
-
-WorkerPoolOptions Emulator::pool_options() const {
-    WorkerPoolOptions opts;
-    opts.pin = pin_workers_;
-    opts.topology = &topology_;
-    return opts;
+    const TierStats t = tier_totals_unlocked();
+    metrics_.add(mid_.tier_lookups, t.lookups - tier_reported_.lookups);
+    metrics_.add(mid_.tier_sram_hits, t.sram_hits - tier_reported_.sram_hits);
+    metrics_.add(mid_.tier_dram_hits, t.dram_hits - tier_reported_.dram_hits);
+    metrics_.add(mid_.tier_host_hits, t.host_hits - tier_reported_.host_hits);
+    metrics_.add(mid_.tier_misses, t.misses - tier_reported_.misses);
+    metrics_.add(mid_.tier_promotions,
+                 t.promotions - tier_reported_.promotions);
+    metrics_.add(mid_.tier_demotions, t.demotions - tier_reported_.demotions);
+    metrics_.add(mid_.tier_drops, t.drops - tier_reported_.drops);
+    metrics_.add(mid_.tier_dma_batches,
+                 t.dma_batches - tier_reported_.dma_batches);
+    metrics_.add(mid_.tier_dma_fetches,
+                 t.dma_fetches - tier_reported_.dma_fetches);
+    metrics_.set_gauge(mid_.tier_cycles, t.tier_cycles);
+    tier_reported_ = t;
 }
 
 void Emulator::init_worker_state(int w) {
@@ -375,29 +360,12 @@ void Emulator::set_worker_count_unlocked(int workers) {
     // Pool first, then populate: new shards are built by the threads that
     // run their lanes (first touch) — the pinned workers, and this thread
     // only for the last lane, which it runs in every poll too.
-    pool_ = workers_ > 1
-                ? std::make_unique<WorkerPool>(workers_, pool_options())
-                : nullptr;
+    WorkerPoolOptions opts;
+    opts.topology = &topology_;
+    pool_ = workers_ > 1 ? std::make_unique<WorkerPool>(workers_, opts)
+                         : nullptr;
     populate_worker_state();
-    if constexpr (telemetry::kEnabled) {
-        // Fold before shrinking so no lane counts are lost.
-        metrics_.merge_shards();
-        metrics_.set_shard_count(static_cast<std::size_t>(workers_));
-        metrics_.set_gauge(mid_.workers_gauge, static_cast<double>(workers_));
-    }
-}
-
-void Emulator::set_pin_workers(bool on) {
-    // A host-emulation knob, not a data-plane control op: takes the control
-    // lock directly (waits for an in-flight batch) and recreates the pool so
-    // the policy applies to live workers immediately.
-    std::lock_guard<std::mutex> lock(control_mu_);
-    if (pin_workers_ == on) return;
-    pin_workers_ = on;
-    if (pool_) {
-        pool_ = std::make_unique<WorkerPool>(workers_, pool_options());
-        populate_worker_state();
-    }
+    metrics_.set_gauge(mid_.workers_gauge, static_cast<double>(workers_));
 }
 
 int Emulator::pinned_workers() const {
@@ -561,12 +529,10 @@ bool Emulator::submit(ControlOp op, ReconfigureStats* swap_result) {
 std::size_t Emulator::drain_queue_unlocked(const std::uint64_t* own_seq,
                                            bool* own_ok,
                                            ReconfigureStats* own_swap) {
-#if PIPELEON_TELEMETRY
     // Span only non-empty drains: batch boundaries drain unconditionally,
     // and an empty drain is two atomic loads — tracing it would be noise.
     std::optional<telemetry::ScopedSpan> span;
     if (!queue_.empty()) span.emplace("emulator.drain_control");
-#endif
     std::vector<ControlOp> ops = queue_.drain();
     for (ControlOp& op : ops) {
         ReconfigureStats swap_stats;
@@ -817,9 +783,7 @@ ProcessResult Emulator::run_packet(Packet& packet, bool sampled,
     ++counters.packets_total;
     if (result.dropped) ++counters.packets_dropped;
     counters.latency.add(result.cycles);
-    if constexpr (telemetry::kEnabled) {
-        counters.latency_hist.record(result.cycles);
-    }
+    counters.latency_hist.record(result.cycles);
     return result;
 }
 
@@ -828,11 +792,6 @@ ProcessResult Emulator::process(Packet& packet) {
     if (!queue_.empty()) drain_queue_unlocked();  // drain point
     const bool sampled = sampled_for(packet_seq_);
     ++packet_seq_;
-    if constexpr (telemetry::kEnabled) {
-        // Scalar path runs under control_mu_ with no batch in flight, so
-        // lane 0 is exclusively ours here.
-        metrics_.shard_add(0, mid_.worker_packets);
-    }
     ProcessResult r =
         run_packet(packet, sampled, counters_, cache_shards_[0], scratch_[0]);
     // The scalar path is a degenerate batch of one: still a tier boundary
@@ -903,10 +862,6 @@ void Emulator::service_lane(QueuePair& qp, std::size_t w,
             }
             used += r.cycles;
             qp.tx().try_push(TxCompletion{r, d.seq});  // room was reserved
-            if constexpr (telemetry::kEnabled) {
-                // Lane write: non-atomic, this worker owns lane w.
-                metrics_.shard_add(w, mid_.worker_packets);
-            }
             ++done;
             stop = budget > 0.0 && used >= budget;
         }
@@ -954,10 +909,7 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
     if (io.steer_epoch() != epoch) io.set_steer_fields(steer_fields_, epoch);
     FlagGuard in_batch(in_batch_);
 
-    std::chrono::steady_clock::time_point wall_start;
-    if constexpr (telemetry::kEnabled) {
-        wall_start = std::chrono::steady_clock::now();
-    }
+    const auto wall_start = std::chrono::steady_clock::now();
 
     const std::size_t nq = io.queue_count();
     if (workers_ <= 1) {
@@ -1020,29 +972,25 @@ void Emulator::poll(RssDispatcher& io, BatchResult& out, double cycle_budget) {
     // Ring-drain boundary is a tier boundary too.
     flush_tier_stores_unlocked();
 
-    if constexpr (telemetry::kEnabled) {
-        const auto wall_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        metrics_.merge_shards();
-        metrics_.add(mid_.batches);
-        metrics_.add(mid_.packets, out.ring_completed);
-        metrics_.add(mid_.drops, out.dropped);
-        metrics_.add(mid_.control_ops, out.control_ops_applied);
-        metrics_.add(mid_.ring_enqueued, delta.enqueued);
-        metrics_.add(mid_.ring_dequeued, delta.dequeued);
-        metrics_.add(mid_.ring_dropped, delta.dropped);
-        metrics_.set_gauge(mid_.ring_depth, static_cast<double>(delta.depth));
-        const std::uint64_t offered = delta.enqueued + delta.dropped;
-        if (offered > 0) {
-            metrics_.record(mid_.ring_drop_rate,
-                            static_cast<double>(delta.dropped) /
-                                static_cast<double>(offered));
-        }
-        metrics_.record(mid_.batch_wall_ns, static_cast<double>(wall_ns));
-        metrics_.record(mid_.batch_cycles, out.total_cycles);
+    const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+    metrics_.add(mid_.batches);
+    metrics_.add(mid_.packets, out.ring_completed);
+    metrics_.add(mid_.drops, out.dropped);
+    metrics_.add(mid_.control_ops, out.control_ops_applied);
+    metrics_.add(mid_.ring_enqueued, delta.enqueued);
+    metrics_.add(mid_.ring_dequeued, delta.dequeued);
+    metrics_.add(mid_.ring_dropped, delta.dropped);
+    metrics_.set_gauge(mid_.ring_depth, static_cast<double>(delta.depth));
+    const std::uint64_t offered = delta.enqueued + delta.dropped;
+    if (offered > 0) {
+        metrics_.record(mid_.ring_drop_rate,
+                        static_cast<double>(delta.dropped) /
+                            static_cast<double>(offered));
     }
+    metrics_.record(mid_.batch_wall_ns, static_cast<double>(wall_ns));
+    metrics_.record(mid_.batch_cycles, out.total_cycles);
 }
 
 void Emulator::begin_window_unlocked() {
@@ -1090,19 +1038,9 @@ telemetry::LatencyHistogram Emulator::latency_histogram() const {
 }
 
 telemetry::MetricsSnapshot Emulator::telemetry_snapshot() const {
+    // A poll holds control_mu_ from its drain to its last metric write, so
+    // a snapshot taken under it sees whole poll boundaries only.
     std::lock_guard<std::mutex> lock(control_mu_);
-    // Invariant (ISSUE 5 satellite): merge_shards() may only run while lane
-    // writers are quiesced. Holding control_mu_ guarantees that — a batch
-    // owns the lock for its whole flight, so acquiring it here means no
-    // worker is writing lanes. in_batch_ is re-checked defensively anyway:
-    // if a future code path ever snapshots mid-batch (e.g. a monitoring
-    // thread handed the lock by mistake), we merge only the master and skip
-    // the lanes rather than race their writers — the snapshot then simply
-    // reflects the state as of the last batch boundary, which is the
-    // documented epoch-read contract.
-    if (!in_batch_.load(std::memory_order_acquire)) {
-        metrics_.merge_shards();
-    }
     return metrics_.snapshot();
 }
 
@@ -1269,7 +1207,7 @@ Emulator::ReconfigureStats Emulator::apply_epoch_unlocked(EpochSwap swap) {
                                                 std::move(swap.entries));
     }
     epoch_.fetch_add(1, std::memory_order_release);
-    if constexpr (telemetry::kEnabled) metrics_.add(mid_.epochs);
+    metrics_.add(mid_.epochs);
     return stats;
 }
 

@@ -215,24 +215,18 @@ public:
     /// depends only on the packet's key-field values and the worker count).
     int steer_worker(const Packet& packet) const;
 
-    /// Host-topology pinning policy (ISSUE 5). On by default: each worker
-    /// thread pins to a CPU picked locality-first from the host topology,
-    /// and its counter shard / cache shard / scratch are first-touched from
-    /// that CPU (the last lane's from the calling thread, which runs that
-    /// lane itself; see sim/worker_pool.h). The PIPELEON_PIN_WORKERS=0
-    /// environment variable is a process-wide override; this setter is the
-    /// per-emulator one. Takes the control lock directly (it recreates the
-    /// worker pool), so unlike the queued mutators it waits for an
-    /// in-flight batch.
-    void set_pin_workers(bool on);
-    bool pin_workers() const { return pin_workers_; }
-
     /// The host topology this emulator pins against (detected once at
-    /// construction; synthetic single-node fallback off-Linux).
+    /// construction; synthetic single-node fallback off-Linux). Each worker
+    /// thread pins to a CPU picked locality-first from it, and its counter
+    /// shard / cache shard / scratch are first-touched from that CPU (the
+    /// last lane's from the calling thread, which runs that lane itself;
+    /// see sim/worker_pool.h).
     const util::Topology& topology() const { return topology_; }
 
     /// Workers whose affinity call succeeded (0 with no pool or pinning
     /// off). Settles once the pool has run its warm pass.
+    /// PIPELEON_PIN_WORKERS=0 in the environment turns pinning off; the
+    /// pool reads it whenever a worker-count change builds one.
     int pinned_workers() const;
 
     // -------------------------------------------------------- virtual time
@@ -261,21 +255,21 @@ public:
     util::RunningStats latency_stats() const;
 
     /// The same window's per-packet latency as an HDR-style histogram
-    /// (percentiles within ~3% relative error) — empty when the build has
-    /// PIPELEON_TELEMETRY OFF. Copy taken under the control lock, same
-    /// epoch semantics as latency_stats().
+    /// (percentiles within ~3% relative error). Copy taken under the control
+    /// lock, same epoch semantics as latency_stats().
     telemetry::LatencyHistogram latency_histogram() const;
 
     // ------------------------------------------------------------ telemetry
 
     /// Lifetime metrics registry (sim.* names: packets/drops/batches/
     /// control_ops/epochs counters, workers gauge, batch_wall_ns and
-    /// batch_cycles histograms). Register extra app metrics freely; lane
-    /// writes are reserved for the emulator's workers.
+    /// batch_cycles histograms; the ring.* and tier.* families). The
+    /// emulator writes it at poll boundaries only. Register extra app
+    /// metrics freely, from any thread, while polls run.
     telemetry::MetricsRegistry& metrics() { return metrics_; }
 
-    /// Locks out the data plane, folds pending per-worker lanes into the
-    /// master, and returns a consistent snapshot.
+    /// Waits out an in-flight poll and returns a snapshot of the registry
+    /// as of the last poll boundary.
     telemetry::MetricsSnapshot telemetry_snapshot() const;
 
     /// Ground-truth totals (not subject to sampling).
@@ -454,7 +448,6 @@ private:
     /// Builds or resets worker `w`'s shard state; runs on lane w's runner
     /// when called through the pool's warm pass.
     void init_worker_state(int w);
-    WorkerPoolOptions pool_options() const;
 
     /// True when packet `seq` is sampled: every sample_period_-th packet.
     bool sampled_for(std::uint64_t seq) const {
@@ -465,11 +458,10 @@ private:
     ProcessResult run_packet(Packet& packet, bool sampled, CounterShard& counters,
                              CacheSet& caches, WorkerScratch& scratch,
                              const ProbeHint* hint = nullptr);
-    /// Services one RX queue with worker `w`'s cache shard, scratch and
-    /// metrics lane: groups of up to kHashGroup descriptors are peeked,
-    /// their root-cache probes hashed and prefetched when the program root
-    /// is a cache, then each packet runs into `counters` and posts its
-    /// completion. Sampling numbers come from `*seq` (bumped per packet)
+    /// Services one RX queue with worker `w`'s cache shard and scratch:
+    /// groups of up to kHashGroup descriptors are peeked, their root-cache
+    /// probes hashed and prefetched when the program root is a cache, then
+    /// each packet runs into `counters` and posts its completion. Sampling numbers come from `*seq` (bumped per packet)
     /// when `seq` is set, else from the descriptors' arrival seqs. Stops
     /// when the RX ring is empty, the TX ring is full, or `used` reaches
     /// `budget` (> 0); the packet that reaches it still runs.
@@ -550,16 +542,13 @@ private:
     };
     std::vector<LaneCounters> worker_counters_;
 
-    /// Lifetime telemetry (ISSUE 4): lanes take per-worker hot-path bumps,
-    /// folded into the master under control_mu_ at batch end. Mutable so
-    /// const readers (telemetry_snapshot) can fold pending lanes — the
-    /// registry observes, it is not emulator state.
-    mutable telemetry::MetricsRegistry metrics_;
+    /// Lifetime telemetry, written under control_mu_ at poll boundaries
+    /// from the folded shard totals.
+    telemetry::MetricsRegistry metrics_;
     struct MetricIds {
         telemetry::MetricId packets = 0, drops = 0, batches = 0;
         telemetry::MetricId control_ops = 0, control_op_failures = 0;
         telemetry::MetricId epochs = 0;
-        telemetry::MetricId worker_packets = 0;  ///< sharded lane counter
         telemetry::MetricId workers_gauge = 0;
         telemetry::MetricId batch_wall_ns = 0, batch_cycles = 0;
         /// Descriptor-ring I/O (ISSUE 6): per-poll deltas from the serviced
@@ -609,7 +598,6 @@ private:
     TierStats tier_retired_;
 
     int workers_ = 1;
-    bool pin_workers_ = true;
     util::Topology topology_ = util::Topology::detect();
     std::unique_ptr<WorkerPool> pool_;
 

@@ -278,20 +278,18 @@ const TenantStats& TenantRegistry::stats(TenantId id) const {
 }
 
 void TenantRegistry::sync_metrics(Tenant& t) {
-    if constexpr (telemetry::kEnabled) {
-        metrics_.add(t.mid.offered, t.stats.offered - t.reported.offered);
-        metrics_.add(t.mid.rate_limited,
-                     t.stats.rate_limited - t.reported.rate_limited);
-        metrics_.add(t.mid.enqueued, t.stats.enqueued - t.reported.enqueued);
-        metrics_.add(t.mid.ring_dropped,
-                     t.stats.ring_dropped - t.reported.ring_dropped);
-        metrics_.add(t.mid.completed, t.stats.completed - t.reported.completed);
-        metrics_.add(t.mid.policy_dropped,
-                     t.stats.policy_dropped - t.reported.policy_dropped);
-        metrics_.set_gauge(t.mid.backlog, static_cast<double>(t.stats.backlog));
-        metrics_.set_gauge(t.mid.epoch, static_cast<double>(t.emu->epoch()));
-        t.reported = t.stats;
-    }
+    metrics_.add(t.mid.offered, t.stats.offered - t.reported.offered);
+    metrics_.add(t.mid.rate_limited,
+                 t.stats.rate_limited - t.reported.rate_limited);
+    metrics_.add(t.mid.enqueued, t.stats.enqueued - t.reported.enqueued);
+    metrics_.add(t.mid.ring_dropped,
+                 t.stats.ring_dropped - t.reported.ring_dropped);
+    metrics_.add(t.mid.completed, t.stats.completed - t.reported.completed);
+    metrics_.add(t.mid.policy_dropped,
+                 t.stats.policy_dropped - t.reported.policy_dropped);
+    metrics_.set_gauge(t.mid.backlog, static_cast<double>(t.stats.backlog));
+    metrics_.set_gauge(t.mid.epoch, static_cast<double>(t.emu->epoch()));
+    t.reported = t.stats;
 }
 
 telemetry::MetricsSnapshot TenantRegistry::telemetry_snapshot() const {

@@ -37,7 +37,6 @@
 #include "sim/queue_pair.h"
 #include "sim/rss.h"
 #include "telemetry/metrics.h"
-#include "telemetry/telemetry.h"
 
 namespace pipeleon::sim {
 

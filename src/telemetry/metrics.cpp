@@ -100,7 +100,6 @@ MetricId MetricsRegistry::counter(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     MetricId id = register_in(counter_names_, name);
     counter_values_.resize(counter_names_.size(), 0);
-    for (Lane& lane : lanes_) lane.counters.resize(counter_names_.size(), 0);
     return id;
 }
 
@@ -115,31 +114,7 @@ MetricId MetricsRegistry::histogram(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     MetricId id = register_in(histogram_names_, name);
     histogram_values_.resize(histogram_names_.size());
-    for (Lane& lane : lanes_) lane.histograms.resize(histogram_names_.size());
     return id;
-}
-
-void MetricsRegistry::set_shard_count(std::size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    lanes_.resize(n);
-    for (Lane& lane : lanes_) {
-        lane.counters.resize(counter_names_.size(), 0);
-        lane.histograms.resize(histogram_names_.size());
-    }
-}
-
-void MetricsRegistry::merge_shards() {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Lane& lane : lanes_) {
-        for (std::size_t i = 0; i < lane.counters.size(); ++i) {
-            counter_values_[i] += lane.counters[i];
-            lane.counters[i] = 0;
-        }
-        for (std::size_t i = 0; i < lane.histograms.size(); ++i) {
-            histogram_values_[i].merge(lane.histograms[i]);
-            lane.histograms[i].reset();
-        }
-    }
 }
 
 void MetricsRegistry::add(MetricId id, std::uint64_t delta) {
@@ -155,11 +130,6 @@ void MetricsRegistry::set_gauge(MetricId id, double value) {
 void MetricsRegistry::record(MetricId id, double value) {
     std::lock_guard<std::mutex> lock(mu_);
     histogram_values_[id].record(value);
-}
-
-LatencyHistogram MetricsRegistry::histogram_state(MetricId id) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return histogram_values_[id];
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -179,17 +149,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
                                      HistogramSummary::of(histogram_values_[i]));
     }
     return snap;
-}
-
-void MetricsRegistry::reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fill(counter_values_.begin(), counter_values_.end(), 0);
-    std::fill(gauge_values_.begin(), gauge_values_.end(), 0.0);
-    for (LatencyHistogram& h : histogram_values_) h.reset();
-    for (Lane& lane : lanes_) {
-        std::fill(lane.counters.begin(), lane.counters.end(), 0);
-        for (LatencyHistogram& h : lane.histograms) h.reset();
-    }
 }
 
 }  // namespace pipeleon::telemetry

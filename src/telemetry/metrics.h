@@ -1,19 +1,12 @@
-// telemetry/metrics.h — the host-side metrics registry. Named counters,
-// gauges, and latency histograms with two write paths:
+// telemetry/metrics.h — the host-side metrics registry: named counters,
+// gauges, and latency histograms with one write path. Every write and every
+// snapshot takes the registry mutex, so the registry is for
+// control-plane-rate events (poll boundaries, ticks, deploys), and any
+// thread may register a metric or take a snapshot at any time.
 //
-//   - the cold path (add / set_gauge / record): takes the registry mutex;
-//     for control-plane-rate events (ticks, deploys, batch boundaries).
-//   - the hot path (shard_add / shard_record): a plain non-atomic bump in a
-//     per-worker lane the caller owns exclusively — the same sharding
-//     discipline as sim::CounterShard. Lanes fold into the locked master at
-//     batch boundaries via merge_shards(), so `snapshot()` (which reads the
-//     master only) is safe to call concurrently with lane writers and
-//     observes the state as of the last merge, mirroring the emulator's
-//     epoch read semantics.
-//
-// Registration is idempotent by name and intended for setup time: callers
-// must not register while lanes are being written (the emulator registers in
-// its constructor and resizes lanes only under its control lock).
+// Per-packet, per-worker counting does not come here: it lives in
+// sim::CounterShard, one private shard per worker, and the emulator folds
+// the shards' totals into this registry once per poll boundary.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +23,7 @@ namespace pipeleon::telemetry {
 /// separate spaces (the accessor that registered a name tells you which).
 using MetricId = std::uint32_t;
 
-/// A point-in-time copy of the master metrics, insertion-ordered.
+/// A point-in-time copy of the metrics, insertion-ordered.
 struct MetricsSnapshot {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
@@ -57,53 +50,14 @@ public:
     MetricId gauge(const std::string& name);
     MetricId histogram(const std::string& name);
 
-    // ------------------------------------------------------------ hot path
-    //
-    // One plain vector increment, no lock, no atomic. The caller must own
-    // lane `shard` exclusively (one worker per lane) and must not run
-    // concurrently with merge_shards(), set_shard_count(), or registration —
-    // the emulator guarantees this by doing all three under its control
-    // lock while no batch is in flight.
-
-    void shard_add(std::size_t shard, MetricId counter_id,
-                   std::uint64_t delta = 1) {
-        lanes_[shard].counters[counter_id] += delta;
-    }
-    void shard_record(std::size_t shard, MetricId histogram_id, double v) {
-        lanes_[shard].histograms[histogram_id].record(v);
-    }
-
-    /// Sizes the lane set (existing lane contents are preserved up to the
-    /// new count; merge first when shrinking).
-    void set_shard_count(std::size_t n);
-    std::size_t shard_count() const { return lanes_.size(); }
-
-    /// Folds every lane into the master and zeroes the lanes. Call at batch
-    /// boundaries, with lane writers quiesced.
-    void merge_shards();
-
-    // ----------------------------------------------------------- cold path
-
     void add(MetricId counter_id, std::uint64_t delta = 1);
     void set_gauge(MetricId gauge_id, double value);
     void record(MetricId histogram_id, double value);
 
-    /// Copy of the named histogram's master state (merge_shards first to
-    /// fold pending lane records).
-    LatencyHistogram histogram_state(MetricId histogram_id) const;
-
-    /// Reads the master only — safe concurrently with lane writers.
+    /// A consistent copy of every metric.
     MetricsSnapshot snapshot() const;
 
-    /// Zeroes master values and lanes (names and ids survive).
-    void reset();
-
 private:
-    struct Lane {
-        std::vector<std::uint64_t> counters;
-        std::vector<LatencyHistogram> histograms;
-    };
-
     MetricId register_in(std::vector<std::string>& names,
                          const std::string& name);
     void check_kind_locked(const std::string& name,
@@ -113,10 +67,9 @@ private:
     std::vector<std::string> counter_names_;
     std::vector<std::string> gauge_names_;
     std::vector<std::string> histogram_names_;
-    std::vector<std::uint64_t> counter_values_;  // master, id-indexed
+    std::vector<std::uint64_t> counter_values_;  // id-indexed
     std::vector<double> gauge_values_;
     std::vector<LatencyHistogram> histogram_values_;
-    std::vector<Lane> lanes_;
 };
 
 }  // namespace pipeleon::telemetry

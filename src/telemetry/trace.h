@@ -10,8 +10,7 @@
 // concurrent export never races a recording thread. Buffers are bounded:
 // past kMaxEventsPerThread the tracer drops new events and counts the drops
 // instead of growing without bound. Recording is disabled-by-default-cheap:
-// one relaxed atomic load when tracing is off, and the whole macro compiles
-// away when PIPELEON_TELEMETRY is OFF.
+// one relaxed atomic load per span site while tracing is off.
 #pragma once
 
 #include <atomic>
@@ -121,18 +120,8 @@ private:
 #define PIPELEON_SPAN_CONCAT2(a, b) a##b
 #define PIPELEON_SPAN_CONCAT(a, b) PIPELEON_SPAN_CONCAT2(a, b)
 
-#ifndef PIPELEON_TELEMETRY
-#define PIPELEON_TELEMETRY 1
-#endif
-
-#if PIPELEON_TELEMETRY
 /// Scopes a trace span over the rest of the enclosing block. `name` must be
 /// a string literal (stored by pointer).
 #define TELEMETRY_SPAN(name)                               \
     ::pipeleon::telemetry::ScopedSpan PIPELEON_SPAN_CONCAT( \
         pipeleon_span_, __LINE__) { name }
-#else
-#define TELEMETRY_SPAN(name) \
-    do {                     \
-    } while (0)
-#endif

@@ -513,23 +513,51 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The ring.* metrics account the poll traffic.
 TEST(RingTelemetry, RingMetricsTrackPollAccounting) {
-    if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-    Program p = chain_program();
-    Emulator emu(nic(), p, {});
-    RingConfig cfg;
-    cfg.rx_capacity = 64;
-    RssDispatcher io = emu.make_rings(cfg);
+    // The poll-boundary folds that the dashboard reads conserve packets
+    // after every poll: an overflowing burst, a budgeted poll that leaves a
+    // backlog, and the poll that drains it.
+    for (int workers : {1, 2}) {
+        SCOPED_TRACE(workers);
+        Program p = chain_program();
+        Emulator emu(nic(), p, {});
+        emu.set_worker_count(workers);
+        ASSERT_EQ(emu.worker_count(), workers);
+        RingConfig cfg;
+        cfg.rx_capacity = 64;
+        RssDispatcher io = emu.make_rings(cfg);
 
-    trafficgen::FlowSet flows = make_flows(64, 12);
-    trafficgen::Workload wl(flows, trafficgen::Locality::Uniform, 0.0, 18);
-    PacketBatch batch = wl.next_batch(emu.fields(), 100);
-    io.dispatch_batch(batch);  // 64 in, 36 overflow
-    emu.poll(io);
+        trafficgen::FlowSet flows = make_flows(64, 12);
+        trafficgen::Workload wl(flows, trafficgen::Locality::Uniform, 0.0, 18);
+        std::uint64_t offered = 0, reaped = 0, polls = 0;
+        auto poll_and_check = [&](double budget) {
+            reaped += emu.poll(io, budget).ring_completed;
+            ++polls;
+            const telemetry::MetricsSnapshot snap = emu.telemetry_snapshot();
+            const std::uint64_t enqueued = snap.counter("ring.enqueued");
+            const std::uint64_t dequeued = snap.counter("ring.dequeued");
+            EXPECT_EQ(enqueued + snap.counter("ring.dropped"), offered);
+            EXPECT_EQ(static_cast<double>(enqueued - dequeued),
+                      snap.gauge("ring.depth"));
+            EXPECT_EQ(dequeued, snap.counter("sim.packets"));
+            EXPECT_EQ(snap.counter("sim.packets"), reaped);
+            EXPECT_EQ(snap.counter("sim.batches"), polls);
+            return snap;
+        };
+        auto offer = [&](std::size_t n) {
+            io.dispatch_batch(wl.next_batch(emu.fields(), n));
+            offered += n;
+        };
 
-    const telemetry::MetricsSnapshot snap = emu.telemetry_snapshot();
-    EXPECT_EQ(snap.counter("ring.enqueued"), 64u);
-    EXPECT_EQ(snap.counter("ring.dequeued"), 64u);
-    EXPECT_EQ(snap.counter("ring.dropped"), 36u);
+        offer(200);  // more than the rings hold
+        const telemetry::MetricsSnapshot first = poll_and_check(0.0);
+        EXPECT_GT(first.counter("ring.dropped"), 0u);
+        if (workers == 1) {
+            EXPECT_EQ(first.counter("ring.enqueued"), 64u);
+        }
+        offer(100);
+        EXPECT_GT(poll_and_check(500.0).gauge("ring.depth"), 0.0);
+        EXPECT_EQ(poll_and_check(0.0).gauge("ring.depth"), 0.0);
+    }
 }
 
 // ------------------------------------------------------------ hash quality

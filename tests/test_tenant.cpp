@@ -404,7 +404,6 @@ TEST(TenantIsolation, NoisyNeighborChangesZeroBits) {
 }
 
 TEST(TenantRegistry, TenantMetricLanesTrackStats) {
-    if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
     TenantRegistry reg(nic());
     TenantId a = reg.add_tenant("alpha", chain());
     TenantId b = reg.add_tenant("beta", chain("p_b"));

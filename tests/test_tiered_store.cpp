@@ -14,7 +14,7 @@
 #include "sim/host_dma.h"
 #include "sim/table_state.h"
 #include "sim/tiered_store.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
 #include "util/rng.h"
 
 namespace pipeleon::sim {
@@ -565,7 +565,6 @@ TEST(EmulatorTiered, TierMetricsAndBatchBoundaryPromotion) {
     ProcessResult r5 = emu.process(p5);
     EXPECT_DOUBLE_EQ(r5.cycles, 10.0 + 2.0);  // SRAM hit again, no premium
 
-    if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
     telemetry::MetricsSnapshot snap = emu.telemetry_snapshot();
     EXPECT_EQ(snap.counter("tier.lookups"), 5u);
     EXPECT_EQ(snap.counter("tier.misses"), 2u);
@@ -577,7 +576,6 @@ TEST(EmulatorTiered, TierMetricsAndBatchBoundaryPromotion) {
 }
 
 TEST(EmulatorTiered, TierCountersSurviveAWorkerShrink) {
-    if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
     NicModel model = tiered_model();
     model.cores = 2;
     Emulator emu(model, tiered_cache_program(4, 64), {});

@@ -7,10 +7,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ir/builder.h"
+#include "sim/emulator.h"
+#include "sim/nic_model.h"
 #include "sim/worker_pool.h"
 #include "util/topology.h"
 
@@ -138,6 +142,8 @@ TEST(PinnedPool, RunsJobsWithAndWithoutPinning) {
 
 TEST(PinnedPool, EnvEscapeHatchDisablesPinning) {
     using pipeleon::sim::WorkerPool;
+    std::optional<std::string> saved;
+    if (const char* v = std::getenv("PIPELEON_PIN_WORKERS")) saved = v;
     ::setenv("PIPELEON_PIN_WORKERS", "0", 1);
     EXPECT_FALSE(WorkerPool::pin_enabled_from_env());
     {
@@ -149,6 +155,26 @@ TEST(PinnedPool, EnvEscapeHatchDisablesPinning) {
     }
     ::unsetenv("PIPELEON_PIN_WORKERS");
     EXPECT_TRUE(WorkerPool::pin_enabled_from_env());
+    // A run under PIPELEON_PIN_WORKERS=0 keeps it for the tests below.
+    if (saved) ::setenv("PIPELEON_PIN_WORKERS", saved->c_str(), 1);
+}
+
+// The environment variable is the emulator's one pinning switch: the pool
+// that a worker-count change builds reads it.
+TEST(PinnedPool, EnvSwitchReachesEmulator) {
+    std::optional<std::string> saved;
+    if (const char* v = std::getenv("PIPELEON_PIN_WORKERS")) saved = v;
+    ::setenv("PIPELEON_PIN_WORKERS", "0", 1);
+    {
+        pipeleon::sim::Emulator emu(
+            pipeleon::sim::bluefield2_model(),
+            pipeleon::ir::chain_of_exact_tables("t", 2, 2, 1), {});
+        emu.set_worker_count(2);
+        EXPECT_EQ(emu.worker_count(), 2);
+        EXPECT_EQ(emu.pinned_workers(), 0);
+    }
+    ::unsetenv("PIPELEON_PIN_WORKERS");
+    if (saved) ::setenv("PIPELEON_PIN_WORKERS", saved->c_str(), 1);
 }
 
 // Stress: thousands of tiny batch barriers, interleaved with pool
